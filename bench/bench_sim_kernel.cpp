@@ -18,6 +18,21 @@
 //  4. batch throughput — aggregate streams x steps/s of the sliced kernel
 //     must be at least 8x the serial baseline, measured on the median rep.
 //
+// Both legs measure the scalar kernels, so they run under
+// sim::testing::ScopedTimeSlicedThreshold(SIZE_MAX). A third leg times
+// the time-sliced path of run() against the scalar path on one stream,
+// each with a PowerProbe attached (as explore() runs it):
+//
+//  5. time-sliced identity — outputs, Activity and crest bit-identical to
+//     the scalar run on every suite config;
+//  6. time-sliced throughput — aggregate scalar / time-sliced sim.run time
+//     (median reps) over the suite configs at 4000 computations >= 4x;
+//
+// and records the crossover curve — the speedup at 16..4000 computations
+// on the suite configs and on 128..1024-node random DFGs — that sets
+// Simulator::kTimeSlicedMinComputations. BENCH_sim.json carries a "host"
+// block (cores, CPU, SIMD flags, compiler, build type).
+//
 // Timing is reported as percentiles over the reps (pct50/pct90/pct99 +
 // stddev, see util/stats.hpp) rather than best-of-N: the median is what
 // the speedup floor checks, the tail and spread make runner noise visible
@@ -28,10 +43,16 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/synthesizer.hpp"
+#include "dfg/random_graph.hpp"
+#include "host_info.hpp"
+#include "power/attribution.hpp"
+#include "power/estimator.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "suite/benchmarks.hpp"
@@ -92,6 +113,50 @@ struct SlicedRow {
   double speedup() const { return serial.pct50 / sliced.pct50; }
 };
 
+struct TimeSlicedRow {
+  std::string bench;
+  int num_clocks = 0;
+  RunStats scalar, sliced;  // seconds per run() call
+  double speedup() const { return scalar.pct50 / sliced.pct50; }
+};
+
+/// Per-call wall time of run() over `n` computations of `stream`, each call
+/// on a fresh simulator with a power probe attached, under time-sliced
+/// threshold `threshold`. Calls are batched to >= 256 computations per
+/// timed sample so short runs stay well above timer resolution; only run()
+/// is timed. The last call's result and crest land in *last / *crest.
+RunStats time_runs(const rtl::Design& design, const dfg::Graph& graph,
+                   const sim::InputStream& stream, std::size_t n,
+                   std::size_t threshold, int reps, sim::SimResult* last,
+                   double* crest) {
+  const power::Attribution attribution(design, power::TechLibrary::cmos08(),
+                                       power::PowerParams{}.vdd);
+  const std::size_t batch = std::max<std::size_t>(1, 256 / n);
+  std::vector<double> samples;
+  for (int rep = 0; rep < reps; ++rep) {
+    std::vector<std::unique_ptr<sim::Simulator>> sims;
+    std::vector<std::unique_ptr<sim::PowerProbe>> probes;
+    for (std::size_t b = 0; b < batch; ++b) {
+      sims.push_back(std::make_unique<sim::Simulator>(design));
+      probes.push_back(
+          std::make_unique<sim::PowerProbe>(attribution.energy_model()));
+      sims.back()->set_power_probe(probes.back().get());
+      sims.back()->set_computation_budget(n);
+    }
+    const sim::testing::ScopedTimeSlicedThreshold seam(threshold);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t b = 0; b < batch; ++b) {
+      *last = sims[b]->run(stream, graph.inputs(), graph.outputs());
+    }
+    samples.push_back(seconds_since(t0) / static_cast<double>(batch));
+    *crest = probes.back()->crest();
+  }
+  return RunStats::from_samples(std::move(samples));
+}
+
+constexpr std::size_t kScalarOnly = std::numeric_limits<std::size_t>::max();
+constexpr std::size_t kSlicedAlways = 1;
+
 }  // namespace
 
 int main() {
@@ -100,6 +165,9 @@ int main() {
   std::vector<ConfigRow> rows;
   bool ok = true;
 
+  // The first two legs measure the scalar kernels themselves; time_runs()
+  // scopes its own threshold.
+  const sim::testing::ScopedTimeSlicedThreshold scalar_kernels(kScalarOnly);
   std::printf("=== settle kernel: oblivious sweep vs event-driven worklist "
               "(%zu computations/run, median of %d) ===\n\n",
               kComputations, kReps);
@@ -245,6 +313,126 @@ int main() {
     ok = false;
   }
 
+  // --- time-sliced leg: one stream, segments in lanes vs scalar run() ----
+  constexpr std::size_t kTsComputations = 4000;
+  constexpr double kTsFloor = 4.0;
+  std::printf("\n=== time-sliced run(): one %zu-computation stream in lane "
+              "segments vs the scalar run, probe attached ===\n\n",
+              kTsComputations);
+  struct TsDesign {
+    std::string family;
+    suite::Benchmark bench;  // graph/schedule owner (random: name only)
+    std::unique_ptr<dfg::Graph> graph;
+    std::unique_ptr<dfg::Schedule> sched;
+    core::Synthesized syn;
+    int num_clocks = 0;
+  };
+  std::vector<TsDesign> designs;
+  for (const char* name : {"facet", "hal", "biquad", "bandpass"}) {
+    for (int n = 1; n <= 4; ++n) {
+      TsDesign d;
+      d.family = "suite";
+      d.bench = suite::by_name(name, 4);
+      core::SynthesisOptions opts;
+      opts.style = core::DesignStyle::MultiClock;
+      opts.num_clocks = n;
+      d.syn = core::synthesize(*d.bench.graph, *d.bench.schedule, opts);
+      d.num_clocks = n;
+      designs.push_back(std::move(d));
+    }
+  }
+  {
+    // explore_large-style designs: 8-input, 8-bit random DFGs, list
+    // scheduled with 4 units per type, at 2 clocks.
+    Rng grng(1024);
+    for (const unsigned nodes : {128u, 256u, 512u, 1024u}) {
+      TsDesign d;
+      d.family = "random";
+      d.bench.name = "rand" + std::to_string(nodes);
+      dfg::RandomGraphConfig rc;
+      rc.num_inputs = 8;
+      rc.num_nodes = nodes;
+      rc.width = 8;
+      d.graph = std::make_unique<dfg::Graph>(dfg::random_graph(grng, rc));
+      dfg::ResourceLimits limits;
+      limits.default_limit = 4;
+      d.sched = std::make_unique<dfg::Schedule>(
+          dfg::schedule_list(*d.graph, limits));
+      core::SynthesisOptions opts;
+      opts.style = core::DesignStyle::MultiClock;
+      opts.num_clocks = 2;
+      d.syn = core::synthesize(*d.graph, *d.sched, opts);
+      d.num_clocks = 2;
+      designs.push_back(std::move(d));
+    }
+  }
+  auto graph_of = [](const TsDesign& d) -> const dfg::Graph& {
+    return d.graph ? *d.graph : *d.bench.graph;
+  };
+  auto stream_of = [&](const TsDesign& d) {
+    Rng rng(2024);
+    return sim::uniform_stream(rng, graph_of(d).inputs().size(),
+                               kTsComputations, graph_of(d).width());
+  };
+
+  std::vector<TimeSlicedRow> tsrows;
+  double ts_scalar_s = 0, ts_sliced_s = 0;
+  for (const auto& d : designs) {
+    if (d.family != "suite") continue;
+    const auto stream = stream_of(d);
+    sim::SimResult sc, ts;
+    double sc_crest = 0, ts_crest = 0;
+    TimeSlicedRow row;
+    row.bench = d.bench.name;
+    row.num_clocks = d.num_clocks;
+    row.scalar = time_runs(*d.syn.design, graph_of(d), stream,
+                           kTsComputations, kScalarOnly, kReps, &sc, &sc_crest);
+    row.sliced = time_runs(*d.syn.design, graph_of(d), stream,
+                           kTsComputations, kSlicedAlways, kReps, &ts,
+                           &ts_crest);
+    if (!identical(ts, sc) || ts_crest != sc_crest) {
+      std::fprintf(stderr,
+                   "FATAL: %s n=%d time-sliced run differs from the scalar "
+                   "run\n",
+                   row.bench.c_str(), row.num_clocks);
+      ok = false;
+    }
+    ts_scalar_s += row.scalar.pct50;
+    ts_sliced_s += row.sliced.pct50;
+    tsrows.push_back(row);
+  }
+  const double ts_speedup = ts_scalar_s / ts_sliced_s;
+  if (ts_speedup < kTsFloor) {
+    std::fprintf(stderr,
+                 "FATAL: time-sliced speedup %.2fx is below the %.0fx floor "
+                 "(scalar pct50 %.3fs / time-sliced pct50 %.3fs)\n",
+                 ts_speedup, kTsFloor, ts_scalar_s, ts_sliced_s);
+    ok = false;
+  }
+
+  // Crossover curve: summed per-call medians per family at each length.
+  const std::vector<std::size_t> kCurve = {16, 32, 64, 128, 256, 1000, 4000};
+  constexpr int kCurveReps = 3;
+  std::vector<double> suite_curve, random_curve;
+  for (const std::size_t n : kCurve) {
+    double suite_sc = 0, suite_ts = 0, rand_sc = 0, rand_ts = 0;
+    for (const auto& d : designs) {
+      const auto stream = stream_of(d);
+      sim::SimResult res;
+      double crest = 0;
+      const double sc = time_runs(*d.syn.design, graph_of(d), stream, n,
+                                  kScalarOnly, kCurveReps, &res, &crest)
+                            .pct50;
+      const double ts = time_runs(*d.syn.design, graph_of(d), stream, n,
+                                  kSlicedAlways, kCurveReps, &res, &crest)
+                            .pct50;
+      (d.family == "suite" ? suite_sc : rand_sc) += sc;
+      (d.family == "suite" ? suite_ts : rand_ts) += ts;
+    }
+    suite_curve.push_back(suite_sc / suite_ts);
+    random_curve.push_back(rand_sc / rand_ts);
+  }
+
   TextTable t({"bench", "n", "comb", "obliv steps/s", "event steps/s",
                "speedup", "obliv evals/step", "event evals/step"});
   for (const auto& r : rows) {
@@ -273,6 +461,29 @@ int main() {
   std::fputs(st.render().c_str(), stdout);
   std::printf("\nbatch speedup (aggregate): %.2fx (floor 8x)\n",
               batch_speedup);
+
+  std::printf("\n");
+  TextTable tt({"bench", "n", "scalar ms/run", "time-sliced ms/run",
+                "speedup"});
+  for (const auto& r : tsrows) {
+    tt.add_row({r.bench, std::to_string(r.num_clocks),
+                format_fixed(r.scalar.pct50 * 1e3, 2),
+                format_fixed(r.sliced.pct50 * 1e3, 2),
+                format_fixed(r.speedup(), 2) + "x"});
+  }
+  std::fputs(tt.render().c_str(), stdout);
+  std::printf("\ntime-sliced speedup (aggregate, %zu computations): %.2fx "
+              "(floor %.0fx)\n",
+              kTsComputations, ts_speedup, kTsFloor);
+  TextTable ct({"computations", "suite speedup", "random-DFG speedup"});
+  for (std::size_t i = 0; i < kCurve.size(); ++i) {
+    ct.add_row({std::to_string(kCurve[i]),
+                format_fixed(suite_curve[i], 2) + "x",
+                format_fixed(random_curve[i], 2) + "x"});
+  }
+  std::printf("\ncrossover (dispatch threshold: %zu computations)\n",
+              sim::Simulator::kTimeSlicedMinComputations);
+  std::fputs(ct.render().c_str(), stdout);
 
   {
     std::ofstream js("BENCH_sim.json");
@@ -321,12 +532,41 @@ int main() {
          << ", \"speedup\": " << r.speedup() << "}"
          << (i + 1 < srows.size() ? "," : "") << "\n";
     }
-    js << "  ]},\n  \"identical_results\": " << (ok ? "true" : "false")
+    js << "  ]},\n  \"time_sliced\": {\"computations\": " << kTsComputations
+       << ", \"speedup\": " << ts_speedup << ", \"speedup_floor\": "
+       << kTsFloor << ", \"dispatch_threshold\": "
+       << sim::Simulator::kTimeSlicedMinComputations << ",\n  \"configs\": [\n";
+    for (std::size_t i = 0; i < tsrows.size(); ++i) {
+      const auto& r = tsrows[i];
+      js << "    {\"bench\": \"" << r.bench
+         << "\", \"num_clocks\": " << r.num_clocks
+         << ", \"scalar_seconds\": " << r.scalar.pct50
+         << ", \"time_sliced_seconds\": " << r.sliced.pct50
+         << ", \"speedup\": " << r.speedup() << ",\n     \"scalar_timing\": {";
+      emit_timing(js, r.scalar);
+      js << "}, \"time_sliced_timing\": {";
+      emit_timing(js, r.sliced);
+      js << "}}" << (i + 1 < tsrows.size() ? "," : "") << "\n";
+    }
+    auto emit_list = [&](const auto& v) {
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        js << (i ? ", " : "") << v[i];
+      }
+    };
+    js << "  ],\n  \"crossover\": {\"computations\": [";
+    emit_list(kCurve);
+    js << "],\n    \"suite_speedup\": [";
+    emit_list(suite_curve);
+    js << "],\n    \"random_dfg_speedup\": [";
+    emit_list(random_curve);
+    js << "]}},\n  \"host\": " << bench::host_json()
+       << ",\n  \"identical_results\": " << (ok ? "true" : "false")
        << ",\n  \"guard\": \"event evals <= oblivious evals on every config; "
           "results bit-identical; sliced results bit-identical per stream; "
-          "batch speedup (pct50) >= 8x\"\n}\n";
+          "batch speedup (pct50) >= 8x; time-sliced results bit-identical to "
+          "scalar; time-sliced speedup (pct50) >= 4x\"\n}\n";
   }
-  std::printf("\nwrote BENCH_sim.json (%zu + %zu configs), guard %s\n",
-              rows.size(), srows.size(), ok ? "OK" : "FAILED");
+  std::printf("\nwrote BENCH_sim.json (%zu + %zu + %zu configs), guard %s\n",
+              rows.size(), srows.size(), tsrows.size(), ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

@@ -126,8 +126,11 @@ std::uint64_t measurement_fingerprint(const dfg::Graph& graph,
                                       std::size_t computations,
                                       std::uint64_t seed, std::size_t streams,
                                       const power::PowerParams& params) {
+  // v3: both levelized kernels drain a settle in (level, CompId) order, so a
+  // point's crest can differ from a v2 record in the last bit. Journals and
+  // caches written before that are stale, not mixable.
   std::ostringstream os;
-  os << "mcrtl-explorer-v2\n" << dfg::serialize_dfg(graph, &sched) << '\n'
+  os << "mcrtl-explorer-v3\n" << dfg::serialize_dfg(graph, &sched) << '\n'
      << computations << ' ' << seed << ' ' << streams << ' '
      << encode_double(params.vdd) << ' ' << encode_double(params.f_master)
      << ' ' << encode_double(params.leakage_mw_per_mlambda2) << ' '

@@ -182,6 +182,7 @@ std::vector<SpanStats> Registry::span_stats() const {
     }
     ++st.count;
     st.total_ms += ms(s.dur_ns);
+    st.self_ms += ms(s.self_ns());
     st.min_ms = std::min(st.min_ms, ms(s.dur_ns));
     st.max_ms = std::max(st.max_ms, ms(s.dur_ns));
   }
@@ -201,7 +202,7 @@ std::vector<LaneStats> Registry::lane_stats() const {
     auto& st = by_lane[s.lane];
     st.lane = s.lane;
     ++st.spans;
-    st.busy_ms += ms(s.dur_ns);
+    if (s.depth == 0) st.busy_ms += ms(s.dur_ns);
   }
   std::vector<LaneStats> out;
   out.reserve(by_lane.size());
@@ -223,11 +224,13 @@ std::string Registry::summary() const {
   std::string out;
   const auto stats = span_stats();
   if (!stats.empty()) {
-    TextTable t({"span", "count", "total[ms]", "mean[ms]", "min[ms]", "max[ms]"},
+    TextTable t({"span", "count", "total[ms]", "self[ms]", "mean[ms]",
+                 "min[ms]", "max[ms]"},
                 {Align::Left, Align::Right, Align::Right, Align::Right,
-                 Align::Right, Align::Right});
+                 Align::Right, Align::Right, Align::Right});
     for (const auto& s : stats) {
       t.add_row({s.name, std::to_string(s.count), format_fixed(s.total_ms, 3),
+                 format_fixed(s.self_ms, 3),
                  format_fixed(s.total_ms / static_cast<double>(s.count), 3),
                  format_fixed(s.min_ms, 3), format_fixed(s.max_ms, 3)});
     }
@@ -289,9 +292,11 @@ std::string Registry::chrome_trace_json() const {
   for (const auto& r : recs) {
     events.push_back(str_format(
         "{\"ph\": \"X\", \"pid\": 1, \"tid\": %d, \"ts\": %.3f, "
-        "\"dur\": %.3f, \"cat\": \"mcrtl\", \"name\": \"%s\"}",
+        "\"dur\": %.3f, \"cat\": \"mcrtl\", \"name\": \"%s\", "
+        "\"args\": {\"self_us\": %.3f}}",
         r.lane, static_cast<double>(r.start_ns) / 1e3,
-        static_cast<double>(r.dur_ns) / 1e3, json_escape(r.name).c_str()));
+        static_cast<double>(r.dur_ns) / 1e3, json_escape(r.name).c_str(),
+        static_cast<double>(r.self_ns()) / 1e3));
   }
   // Counter tracks live under their own process: their timestamps are
   // simulated step indices, not host time, and a separate pid keeps the two
@@ -355,9 +360,10 @@ std::string Registry::metrics_json() const {
     const auto& s = stats[i];
     out += str_format(
         "%s\n    \"%s\": {\"count\": %llu, \"total_ms\": %.6f, "
-        "\"mean_ms\": %.6f, \"min_ms\": %.6f, \"max_ms\": %.6f}",
+        "\"self_ms\": %.6f, \"mean_ms\": %.6f, \"min_ms\": %.6f, "
+        "\"max_ms\": %.6f}",
         i ? "," : "", json_escape(s.name).c_str(),
-        static_cast<unsigned long long>(s.count), s.total_ms,
+        static_cast<unsigned long long>(s.count), s.total_ms, s.self_ms,
         s.total_ms / static_cast<double>(s.count), s.min_ms, s.max_ms);
   }
   out += stats.empty() ? "},\n" : "\n  },\n";
@@ -374,9 +380,18 @@ std::string Registry::metrics_json() const {
   return out;
 }
 
+namespace {
+// Innermost active Span on this thread (spans are RAII, so per thread they
+// open and close in stack order).
+thread_local Span* t_open_span = nullptr;
+}  // namespace
+
 Span::Span(const char* name) : name_(name) {
   if (!enabled()) return;
   active_ = true;
+  parent_ = t_open_span;
+  depth_ = parent_ ? parent_->depth_ + 1 : 0;
+  t_open_span = this;
   start_ns_ = Registry::instance().now_ns();
 }
 
@@ -387,6 +402,10 @@ Span::~Span() {
   rec.start_ns = start_ns_;
   rec.dur_ns = Registry::instance().now_ns() - start_ns_;
   rec.lane = ThreadPool::current_worker_index() + 1;
+  rec.depth = depth_;
+  rec.child_ns = child_ns_;
+  if (parent_) parent_->child_ns_ += rec.dur_ns;
+  t_open_span = parent_;
   Registry::instance().record_span(rec);
 }
 

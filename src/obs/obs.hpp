@@ -11,9 +11,10 @@
 //    off-pool thread), so traces show per-worker utilization directly.
 //  * named counters/gauges — monotonic `count()` totals (mux inputs,
 //    registers merged by left-edge, transfer variables inserted, nets,
-//    toggles, the settle-kernel's `sim.kernel.events_popped` /
-//    `sim.kernel.evals_skipped` work-saved pair, ...) and point-in-time
-//    `set_gauge()` values (points/sec, lane utilization).
+//    toggles, the scalar settle-kernel's `sim.kernel.events_popped` /
+//    `sim.kernel.evals_skipped` work-saved pair, the time-sliced path's
+//    `sim.time_sliced.runs` / `sim.time_sliced.lane_steps`, ...) and
+//    point-in-time `set_gauge()` values (points/sec, lane utilization).
 //  * histograms/tracks — log2-bucket distribution sketches (`observe()`,
 //    pct50/90/99 for per-step energy and per-point latency tails) and
 //    counter tracks (`Registry::counter_track()`, time-stamped value series
@@ -62,18 +63,29 @@ struct SpanRecord {
   std::uint64_t start_ns;  ///< since Registry epoch (last reset())
   std::uint64_t dur_ns;
   int lane;  ///< 0 = off-pool thread, k >= 1 = pool worker k-1
+  /// Nesting depth on its thread: 0 = outermost, k = inside k open spans.
+  int depth;
+  /// Time spent in spans nested directly inside this one on the same
+  /// thread; dur_ns - child_ns is the span's self time.
+  std::uint64_t child_ns;
+
+  std::uint64_t self_ns() const { return dur_ns - child_ns; }
 };
 
 /// Aggregated view of all spans sharing a name.
 struct SpanStats {
   std::string name;
   std::uint64_t count = 0;
-  double total_ms = 0;
+  double total_ms = 0;  ///< inclusive: nested spans' time counted too
+  double self_ms = 0;   ///< exclusive: total_ms minus directly nested spans
   double min_ms = 0;
   double max_ms = 0;
 };
 
-/// Busy time accumulated per lane (for utilization reports).
+/// Busy time accumulated per lane (for utilization reports): the time
+/// covered by the lane's outermost (depth-0) spans, so nested spans are
+/// never counted twice and busy_ms never exceeds the lane's wall time. It
+/// equals the sum of the self time of every span on the lane.
 struct LaneStats {
   int lane = 0;
   std::uint64_t spans = 0;
@@ -199,6 +211,8 @@ inline void observe_many(const std::string& name,
 
 /// RAII scoped timer. `name` must outlive the program (use a literal).
 /// Inactive (and free of any clock read) while collection is disabled.
+/// Spans open on one thread nest: each records its depth and hands its
+/// duration to the enclosing span, which books it as child (not self) time.
 class Span {
  public:
   explicit Span(const char* name);
@@ -211,6 +225,9 @@ class Span {
   const char* name_;
   std::uint64_t start_ns_ = 0;
   bool active_ = false;
+  Span* parent_ = nullptr;  // innermost active span open on this thread
+  int depth_ = 0;
+  std::uint64_t child_ns_ = 0;
 };
 
 }  // namespace mcrtl::obs

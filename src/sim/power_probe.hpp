@@ -21,6 +21,12 @@
 // per-stream attribution is always available post-run from the per-stream
 // Activity records (power::Attribution::attribute).
 //
+// A time-sliced run() (one stream cut into lane segments) keeps per-lane
+// step rows instead and stores each at its global step with set_step_row();
+// fold_profile() then folds the finished waveform in step order. Both
+// levelized kernels deliver a step's transitions in the same order, so the
+// rows — and crest() — are bit-identical to a scalar run's.
+//
 // Attachment follows the PhaseHeatmap pattern: explicit opt-in, nullptr to
 // detach, no collection cost when detached (one pointer test on the
 // already-taken "value changed" branch). The probe only observes — nothing
@@ -90,6 +96,30 @@ class PowerProbe {
       row_[i] = 0.0;
     }
     ++steps_;
+  }
+
+  // ---- out-of-order waveform (time-sliced runs) ---------------------------
+
+  const EnergyModel& model() const { return *model_; }
+  /// Start a waveform of `steps` steps, all rows zero.
+  void begin_steps(std::size_t steps) {
+    reset();
+    waveform_.assign(steps * row_.size(), 0.0);
+    steps_ = steps;
+  }
+  /// Store step `step`'s row: domain d's energy is row[d * stride].
+  void set_step_row(std::size_t step, const double* row, std::size_t stride) {
+    double* out = waveform_.data() + step * row_.size();
+    for (std::size_t i = 0; i < row_.size(); ++i) out[i] = row[i * stride];
+  }
+  /// Fold the stored waveform into the profile in step order — the adds an
+  /// end_step() per step would have made.
+  void fold_profile() {
+    const auto P = static_cast<std::size_t>(model_->period);
+    for (std::size_t s = 0, t = 0; s < steps_; ++s, t = t + 1 == P ? 0 : t + 1) {
+      const double* r = waveform_.data() + s * row_.size();
+      for (std::size_t i = 0; i < row_.size(); ++i) profile_[i * P + t] += r[i];
+    }
   }
 
   // ---- results ----------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 
 #include "obs/obs.hpp"
@@ -13,6 +14,22 @@ namespace mcrtl::sim {
 using rtl::CompId;
 using rtl::CompKind;
 using rtl::NetId;
+
+namespace {
+// run()'s time-sliced threshold; only testing::ScopedTimeSlicedThreshold
+// moves it off kTimeSlicedMinComputations.
+std::atomic<std::size_t> g_time_sliced_min{
+    Simulator::kTimeSlicedMinComputations};
+}  // namespace
+
+namespace testing {
+ScopedTimeSlicedThreshold::ScopedTimeSlicedThreshold(
+    std::size_t min_computations)
+    : saved_(g_time_sliced_min.exchange(min_computations)) {}
+ScopedTimeSlicedThreshold::~ScopedTimeSlicedThreshold() {
+  g_time_sliced_min.store(saved_);
+}
+}  // namespace testing
 
 Simulator::Simulator(const rtl::Design& design, Mode mode)
     : design_(&design),
@@ -29,16 +46,25 @@ Simulator::Simulator(const rtl::Design& design, Mode mode)
     }
   }
   if (mode_ != Mode::Oblivious) {  // EventDriven and BitSliced both levelize
-    level_ = nl.comb_levels();
-    int max_level = -1;
-    for (int l : level_) max_level = std::max(max_level, l);
-    buckets_.resize(static_cast<std::size_t>(max_level + 1));
-    in_queue_.assign(nl.num_components(), 0);
+    const std::vector<int> level = nl.comb_levels();
+    for (const auto& c : nl.components()) {
+      if (level[c.id.index()] >= 0) slot_comp_.push_back(c.id);
+    }
+    std::stable_sort(slot_comp_.begin(), slot_comp_.end(),
+                     [&](CompId a, CompId b) {
+                       return level[a.index()] < level[b.index()];
+                     });
+    std::vector<std::uint32_t> slot_of(nl.num_components(), 0);
+    for (std::size_t i = 0; i < slot_comp_.size(); ++i) {
+      slot_of[slot_comp_[i].index()] = static_cast<std::uint32_t>(i);
+    }
+    dirty_.assign((slot_comp_.size() + 63) / 64, 0);
+    first_dirty_ = dirty_.size();
     const auto per_net = nl.comb_fanout();
     fanout_offset_.reserve(per_net.size() + 1);
     fanout_offset_.push_back(0);
     for (const auto& readers : per_net) {
-      fanout_.insert(fanout_.end(), readers.begin(), readers.end());
+      for (CompId r : readers) fanout_.push_back(slot_of[r.index()]);
       fanout_offset_.push_back(static_cast<std::uint32_t>(fanout_.size()));
     }
   }
@@ -69,15 +95,15 @@ Simulator::Simulator(const rtl::Design& design, Mode mode)
   }
   // Static phase-edge schedule: valid when every storage load pin is fed by
   // a controller line (whose per-step value is tabulated and periodic).
-  std::vector<int> sig_of_net(nl.num_nets(), -1);
+  sig_of_net_.assign(nl.num_nets(), -1);
   for (const auto& sig : plan.signals()) {
-    sig_of_net[nl.comp(sig.source).output.index()] =
+    sig_of_net_[nl.comp(sig.source).output.index()] =
         static_cast<int>(sig.index);
   }
   static_edges_ = true;
   for (const auto& c : nl.components()) {
     if (rtl::is_storage(c.kind) && c.load.valid() &&
-        sig_of_net[c.load.index()] < 0) {
+        sig_of_net_[c.load.index()] < 0) {
       static_edges_ = false;
       break;
     }
@@ -92,7 +118,7 @@ Simulator::Simulator(const rtl::Design& design, Mode mode)
         const bool load =
             !c.load.valid() ||
             plan.line_value(
-                static_cast<unsigned>(sig_of_net[c.load.index()]), t) != 0;
+                static_cast<unsigned>(sig_of_net_[c.load.index()]), t) != 0;
         if (load || !c.clock_gated) {
           edge_clock_events_[static_cast<std::size_t>(t)].push_back(cid);
         }
@@ -108,36 +134,115 @@ Simulator::Simulator(const rtl::Design& design, Mode mode)
     MCRTL_CHECK_MSG(static_edges_,
                     "BitSliced simulation requires controller-driven storage "
                     "load enables; use Mode::EventDriven for this netlist");
-    plane_offset_.reserve(nl.num_nets() + 1);
-    plane_offset_.push_back(0);
-    for (const auto& net : nl.nets()) {
-      plane_offset_.push_back(plane_offset_.back() + net.width);
-    }
-    net_planes_.assign(plane_offset_.back(), 0);
+    init_planes();
   }
 }
 
-// Kept small and in the same TU as write_net so the enqueue folds into the
-// settle loops instead of costing a call per changed net.
-inline void Simulator::mark_fanout_dirty(NetId net) {
-  const std::uint32_t begin = fanout_offset_[net.index()];
-  const std::uint32_t end = fanout_offset_[net.index() + 1];
-  for (std::uint32_t k = begin; k < end; ++k) {
-    const CompId cid = fanout_[k];
-    if (in_queue_[cid.index()]) continue;
-    in_queue_[cid.index()] = 1;
-    buckets_[static_cast<std::size_t>(level_[cid.index()])].push_back(cid);
-    ++pending_;
+void Simulator::init_planes() {
+  const rtl::Netlist& nl = design_->netlist;
+  plane_offset_.reserve(nl.num_nets() + 1);
+  plane_offset_.push_back(0);
+  for (const auto& net : nl.nets()) {
+    plane_offset_.push_back(plane_offset_.back() + net.width);
   }
+  net_planes_.assign(plane_offset_.back(), 0);
 }
 
 void Simulator::mark_all_dirty() {
-  for (CompId cid : comb_order_) {
-    if (in_queue_[cid.index()]) continue;
-    in_queue_[cid.index()] = 1;
-    buckets_[static_cast<std::size_t>(level_[cid.index()])].push_back(cid);
-    ++pending_;
+  if (dirty_.empty()) return;
+  std::fill(dirty_.begin(), dirty_.end(), ~std::uint64_t{0});
+  if (slot_comp_.size() % 64 != 0) {
+    dirty_.back() = (std::uint64_t{1} << (slot_comp_.size() % 64)) - 1;
   }
+  pending_ = slot_comp_.size();
+  first_dirty_ = 0;
+}
+
+bool Simulator::one_computation_warmup() {
+  if (warmup_checked_) return warmup_exact_;
+  warmup_checked_ = true;
+  // The time-sliced kernel walks the static phase-edge schedule.
+  if (!static_edges_) return false;
+  const rtl::Design& d = *design_;
+  const rtl::Netlist& nl = d.netlist;
+  const auto& comps = nl.components();
+  const rtl::ControlPlan& plan = d.control;
+  const int P = d.clocks.period();
+  const int n = d.clocks.num_phases();
+  // known[i]: net i provably carries the value the scalar run has at the
+  // same point, whatever state the lane started from. Controller lines,
+  // constants and input ports are known from the start (the controller is
+  // periodic, the lane's inputs are the stream's); storage outputs and
+  // isolation-gate outputs are not.
+  std::vector<std::uint8_t> known(nl.num_nets(), 0);
+  for (const auto& c : comps) {
+    if (c.kind == CompKind::ControlSource || c.kind == CompKind::Constant ||
+        c.kind == CompKind::InputPort) {
+      known[c.output.index()] = 1;
+    }
+  }
+  // Select values come straight off the ControlPlan at period step t; a
+  // data-driven select makes the depth unbounded.
+  bool data_select = false;
+  auto select_value = [&](NetId net, int t) -> std::uint64_t {
+    if (sig_of_net_[net.index()] >= 0) {
+      return plan.line_value(static_cast<unsigned>(sig_of_net_[net.index()]),
+                             t);
+    }
+    const rtl::Component& drv = comps[nl.net(net).driver.index()];
+    if (drv.kind != CompKind::Constant) data_select = true;
+    return from_signed(drv.const_value, drv.width);
+  };
+  auto settle_known = [&](int t) {
+    for (CompId cid : comb_order_) {
+      const rtl::Component& c = comps[cid.index()];
+      const std::uint64_t code = c.select.valid() ? select_value(c.select, t)
+                                                  : 0;
+      bool k = false;
+      if (c.kind == CompKind::Mux || c.kind == CompKind::Bus) {
+        k = code < c.inputs.size() && known[c.inputs[code].index()];
+      } else if (c.kind == CompKind::IsoGate) {
+        k = code != 0 ? known[c.inputs[0].index()] : known[c.output.index()];
+      } else {  // Alu
+        k = code < c.funcs.size() && known[c.inputs[0].index()] &&
+            (dfg::op_arity(c.funcs[code]) == 1 || known[c.inputs[1].index()]);
+      }
+      known[c.output.index()] = k;
+    }
+  };
+  auto load_known = [&](CompId cid) {
+    known[comps[cid.index()].output.index()] =
+        known[comps[cid.index()].inputs[0].index()];
+  };
+  // The lane's preamble: reset-state controller, then the boundary edge.
+  settle_known(P);
+  for (CompId cid : storage_by_phase_[static_cast<std::size_t>(n)]) {
+    const rtl::Component& c = comps[cid.index()];
+    if (!c.load.valid() ||
+        plan.line_value(static_cast<unsigned>(sig_of_net_[c.load.index()]),
+                        P) != 0) {
+      load_known(cid);
+    }
+  }
+  settle_known(P);
+  std::vector<std::uint8_t> staged;
+  for (int t = 1; t <= P; ++t) {
+    settle_known(t);
+    // Captures commit simultaneously: stage every D mark first.
+    const auto& caps = edge_captures_[static_cast<std::size_t>(t)];
+    staged.clear();
+    for (CompId cid : caps) {
+      staged.push_back(known[comps[cid.index()].inputs[0].index()]);
+    }
+    for (std::size_t i = 0; i < caps.size(); ++i) {
+      known[comps[caps[i].index()].output.index()] = staged[i];
+    }
+    settle_known(t);
+  }
+  warmup_exact_ = !data_select &&
+                  std::all_of(known.begin(), known.end(),
+                              [](std::uint8_t k) { return k != 0; });
+  return warmup_exact_;
 }
 
 void Simulator::write_net(NetId net, std::uint64_t value, Activity& act,
@@ -202,21 +307,11 @@ void Simulator::settle_oblivious(Activity& act, bool count) {
 void Simulator::settle_event(Activity& act, bool count) {
   if (pending_ == 0) return;
   const auto& comps = design_->netlist.components();
-  // Levels are topological over every combinational-to-combinational edge
-  // (data and select), so evaluating a level-L component can only enqueue
-  // strictly deeper levels: one ascending sweep drains the whole cone.
-  for (auto& bucket : buckets_) {
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const CompId cid = bucket[i];
-      in_queue_[cid.index()] = 0;
-      ++kernel_stats_.evals;
-      const rtl::Component& c = comps[cid.index()];
-      write_net(c.output, eval_comp(c), act, count);
-    }
-    pending_ -= bucket.size();
-    bucket.clear();
-    if (pending_ == 0) break;
-  }
+  drain([&](CompId cid) {
+    ++kernel_stats_.evals;
+    const rtl::Component& c = comps[cid.index()];
+    write_net(c.output, eval_comp(c), act, count);
+  });
 }
 
 SimResult Simulator::run(const InputStream& stream,
@@ -227,6 +322,19 @@ SimResult Simulator::run(const InputStream& stream,
   MCRTL_CHECK_MSG(mode_ != Mode::BitSliced,
                   "run() is scalar-only; a BitSliced simulator batches "
                   "streams through run_sliced()");
+  // A computation budget truncates the loop, not the stream: the boundary
+  // input-load of the last simulated computation still presents
+  // computation `limit`'s inputs (exactly as an unbudgeted run would before
+  // its deadline check), so the prefix Activity is bit-identical to the
+  // first `limit` computations of a full run.
+  const std::size_t limit =
+      computation_budget_ > 0 ? std::min(computation_budget_, stream.size())
+                              : stream.size();
+  if (mode_ == Mode::EventDriven && !observer_ && limit > 0 &&
+      limit >= g_time_sliced_min.load(std::memory_order_relaxed) &&
+      one_computation_warmup()) {
+    return run_time_sliced(stream, input_order, output_order, limit);
+  }
   const rtl::Design& d = *design_;
   const rtl::Netlist& nl = d.netlist;
   const auto& comps = nl.components();
@@ -298,14 +406,6 @@ SimResult Simulator::run(const InputStream& stream,
   }
 
   // ---- main loop ----------------------------------------------------------
-  // A computation budget truncates the loop, not the stream: the boundary
-  // input-load below still presents computation `limit`'s inputs (exactly
-  // as an unbudgeted run would before its deadline check), so the prefix
-  // Activity is bit-identical to the first `limit` computations of a full
-  // run.
-  const std::size_t limit =
-      computation_budget_ > 0 ? std::min(computation_budget_, stream.size())
-                              : stream.size();
   result.outputs.reserve(limit);
   for (std::size_t comp = 0; comp < limit; ++comp) {
     // One clock read per master period — cheap against the period's settle

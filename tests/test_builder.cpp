@@ -112,7 +112,9 @@ TEST(BuilderTest, ControlSignalPartitionsMatchComponents) {
   for (const auto& sig : syn.design->control.signals()) {
     for (CompId reader : nl.net(nl.comp(sig.source).output).readers) {
       const auto& rc = nl.comp(reader);
-      if (rc.partition >= 1) EXPECT_EQ(rc.partition, sig.partition) << sig.name;
+      if (rc.partition >= 1) {
+        EXPECT_EQ(rc.partition, sig.partition) << sig.name;
+      }
     }
   }
 }

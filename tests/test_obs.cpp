@@ -4,6 +4,8 @@
 // results.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <map>
 #include <set>
 #include <string>
 
@@ -103,9 +105,9 @@ TEST_F(ObsTest, DisabledPipelineLeavesRegistryEmpty) {
 
 TEST_F(ObsTest, SpanStatsAggregateByName) {
   obs::set_enabled(true);
-  obs::Registry::instance().record_span({"phase.a", 0, 2'000'000, 0});
-  obs::Registry::instance().record_span({"phase.a", 10, 4'000'000, 1});
-  obs::Registry::instance().record_span({"phase.b", 20, 1'000'000, 0});
+  obs::Registry::instance().record_span({"phase.a", 0, 2'000'000, 0, 0, 0});
+  obs::Registry::instance().record_span({"phase.a", 10, 4'000'000, 1, 0, 0});
+  obs::Registry::instance().record_span({"phase.b", 20, 1'000'000, 0, 0, 0});
   const auto stats = obs::Registry::instance().span_stats();
   ASSERT_EQ(stats.size(), 2u);
   // Sorted heaviest-first: phase.a (6ms) before phase.b (1ms).
@@ -125,6 +127,68 @@ TEST_F(ObsTest, SpanStatsAggregateByName) {
   const auto summary = obs::Registry::instance().summary();
   EXPECT_NE(summary.find("phase.a"), std::string::npos);
   EXPECT_NE(summary.find("worker-0"), std::string::npos);
+}
+
+TEST_F(ObsTest, NestedSpansSplitSelfFromInclusiveTime) {
+  obs::set_enabled(true);
+  {
+    obs::Span outer("nest.outer");
+    { obs::Span inner("nest.inner"); }
+    { obs::Span inner("nest.inner"); }
+  }
+  const auto spans = obs::Registry::instance().spans();
+  ASSERT_EQ(spans.size(), 3u);
+  std::uint64_t inner_ns = 0;
+  for (const auto& s : spans) {
+    if (std::string(s.name) == "nest.inner") {
+      EXPECT_EQ(s.depth, 1);
+      EXPECT_EQ(s.child_ns, 0u);
+      inner_ns += s.dur_ns;
+    }
+  }
+  const auto& outer = spans.back();  // closes last
+  EXPECT_STREQ(outer.name, "nest.outer");
+  EXPECT_EQ(outer.depth, 0);
+  EXPECT_EQ(outer.child_ns, inner_ns);
+  EXPECT_EQ(outer.self_ns(), outer.dur_ns - inner_ns);
+  // Busy time counts the outermost span once, not its children again.
+  const auto lanes = obs::Registry::instance().lane_stats();
+  ASSERT_EQ(lanes.size(), 1u);
+  EXPECT_EQ(lanes[0].spans, 3u);
+  EXPECT_DOUBLE_EQ(lanes[0].busy_ms, static_cast<double>(outer.dur_ns) / 1e6);
+}
+
+// Nested spans (explore.point > core.synthesize > ..., sim.run, ...) used to
+// be summed into lane busy time, putting worker utilization near 2. Busy
+// time is now the depth-0 spans only: per lane it equals the sum of every
+// span's self time, and never exceeds the wall time of the run.
+TEST_F(ObsTest, WorkerUtilizationIsAtMostOneAndSelfTimeSumsToBusy) {
+  const auto b = suite::by_name("hal", 4);
+  obs::set_enabled(true);
+  const auto t0 = std::chrono::steady_clock::now();
+  core::explore(*b.graph, *b.schedule, small_config(2));
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  std::map<int, std::uint64_t> self_ns, busy_ns;
+  for (const auto& s : obs::Registry::instance().spans()) {
+    self_ns[s.lane] += s.self_ns();
+    if (s.depth == 0) busy_ns[s.lane] += s.dur_ns;
+  }
+  EXPECT_EQ(self_ns, busy_ns);
+  const auto lanes = obs::Registry::instance().lane_stats();
+  ASSERT_FALSE(lanes.empty());
+  for (const auto& lane : lanes) {
+    EXPECT_NEAR(lane.busy_ms, static_cast<double>(busy_ns[lane.lane]) / 1e6,
+                1e-9);
+    EXPECT_LE(lane.busy_ms / wall_ms, 1.0) << "lane " << lane.lane;
+  }
+  double self_total = 0, busy_total = 0;
+  for (const auto& st : obs::Registry::instance().span_stats()) {
+    self_total += st.self_ms;
+  }
+  for (const auto& lane : lanes) busy_total += lane.busy_ms;
+  EXPECT_NEAR(self_total, busy_total, 1e-6 * busy_total);
 }
 
 // An instrumented parallel exploration must produce valid Chrome

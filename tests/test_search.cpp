@@ -48,9 +48,11 @@ Grid small_grid() {
   g.benches.push_back(suite::facet(3));
   g.benches.push_back(suite::motivating(4));
   g.space.behaviours.push_back(core::SearchBehaviour{
-      "facet/w3", g.benches[0].graph.get(), g.benches[0].schedule.get()});
+      "facet/w3", g.benches[0].graph.get(), g.benches[0].schedule.get(),
+      {}});
   g.space.behaviours.push_back(core::SearchBehaviour{
-      "motivating/w4", g.benches[1].graph.get(), g.benches[1].schedule.get()});
+      "motivating/w4", g.benches[1].graph.get(), g.benches[1].schedule.get(),
+      {}});
   core::cross_variants(g.space, core::search_variants(3));
   return g;
 }
@@ -454,7 +456,8 @@ TEST(Search, DuplicateCandidatesEvaluateOnceAndFanOut) {
   Grid g;
   g.benches.push_back(suite::motivating(4));
   g.space.behaviours.push_back(core::SearchBehaviour{
-      "motivating/w4", g.benches[0].graph.get(), g.benches[0].schedule.get()});
+      "motivating/w4", g.benches[0].graph.get(), g.benches[0].schedule.get(),
+      {}});
   core::SynthesisOptions opts;
   opts.style = core::DesignStyle::MultiClock;
   opts.num_clocks = 2;

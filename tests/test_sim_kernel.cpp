@@ -8,6 +8,7 @@
 // perf-smoke CI guard relies on.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -87,6 +88,10 @@ void expect_identical_activity(const Activity& a, const Activity& b,
 /// oblivious one would over the same settle() calls.
 void differential_check(const rtl::Design& design, const dfg::Graph& graph,
                         const InputStream& stream, const std::string& what) {
+  // The scalar event kernel itself is under test; long runs would take the
+  // time-sliced path (differentially tested in test_sim_time_sliced.cpp).
+  const testing::ScopedTimeSlicedThreshold scalar(
+      std::numeric_limits<std::size_t>::max());
   Simulator ev(design);  // EventDriven is the default
   Simulator ob(design, Simulator::Mode::Oblivious);
   ASSERT_EQ(ev.mode(), Simulator::Mode::EventDriven);
@@ -159,6 +164,8 @@ TEST(SimKernelTest, EventDrivenSkipsWorkOnMultiClockDesigns) {
     opts.style = DesignStyle::MultiClock;
     opts.num_clocks = n;
     const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+    const testing::ScopedTimeSlicedThreshold scalar(
+        std::numeric_limits<std::size_t>::max());
     Simulator ev(*syn.design);
     Rng rng(55);
     const auto stream = uniform_stream(rng, b.graph->inputs().size(), 40, 4);

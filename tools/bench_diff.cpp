@@ -18,13 +18,18 @@
 //    deterministic outputs of the benches, and any change means the bench
 //    or the kernel changed behaviour, not the machine.
 //
-// A key present on one side only is an error (schema drift). Exit code 0
-// when clean, 1 on any violation; every violation is printed.
+// Keys under a top-level "host" block describe the machine that produced
+// the file (cores, CPU, SIMD flags, compiler) and are ignored entirely:
+// neither their values nor their presence (a CPU without AVX-512 lists
+// fewer flags) is checked. Any other key present on one side only is an
+// error (schema drift). Exit code 0 when clean, 1 on any violation; every
+// violation is printed.
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -213,6 +218,20 @@ bool is_informational(const std::string& path) {
   return leaf(path).find("stddev") != std::string::npos;
 }
 
+/// The producing host's description: recorded so a baseline says where it
+/// came from, different in values and shape on every machine by design.
+bool describes_host(const std::string& path) {
+  return path.rfind("host.", 0) == 0;
+}
+
+/// Drops every host-description key, so no check ever sees one.
+template <class Map>
+void drop_host(Map& keys) {
+  for (auto it = keys.begin(); it != keys.end();) {
+    it = describes_host(it->first) ? keys.erase(it) : std::next(it);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -242,6 +261,10 @@ int main(int argc, char** argv) {
 
   Flat base, fresh;
   if (!load(base_file, base) || !load(fresh_file, fresh)) return 2;
+  for (Flat* f : {&base, &fresh}) {
+    drop_host(f->nums);
+    drop_host(f->strs);
+  }
 
   int violations = 0;
   std::size_t compared_noisy = 0, compared_exact = 0, skipped_tiny = 0,
