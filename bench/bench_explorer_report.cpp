@@ -15,6 +15,11 @@
 // CSV/JSON exports are asserted byte-identical to the uninterrupted run
 // (timings and replay counts land in BENCH_explorer.json under "resume").
 //
+// The traced leg also gates the golden model's work exactly: one explore()
+// runs the interpreter once per computation of its stimulus
+// (`sim.golden.computations` == computations x streams), however many
+// points it checks against that table.
+//
 // Writes: mcrtl_exploration.csv, mcrtl_exploration.json, BENCH_explorer.json
 // (cwd).
 #include <atomic>
@@ -25,6 +30,7 @@
 #include <fstream>
 
 #include "core/explorer.hpp"
+#include "host_info.hpp"
 #include "obs/obs.hpp"
 #include "power/report.hpp"
 #include "suite/benchmarks.hpp"
@@ -83,6 +89,13 @@ bool identical(const core::ExplorationResult& a,
   return true;
 }
 
+std::uint64_t counter(const std::string& name) {
+  for (const auto& [k, v] : obs::Registry::instance().counters()) {
+    if (k == name) return v;
+  }
+  return 0;
+}
+
 void emit_timing(std::ofstream& js, const RunStats& s) {
   js << "\"pct50\": " << s.pct50 << ", \"pct90\": " << s.pct90
      << ", \"pct99\": " << s.pct99 << ", \"stddev\": " << s.stddev
@@ -112,6 +125,7 @@ int main(int argc, char** argv) {
     RunStats serial;
     RunStats parallel;
     RunStats traced;  ///< parallel again, with obs:: collection on
+    std::uint64_t golden_computations = 0;  ///< per traced explore() call
   };
   std::vector<BenchTiming> timings;
   struct ResumeStats {
@@ -174,10 +188,25 @@ int main(int argc, char** argv) {
     obs::set_enabled(true);
     core::ExplorationResult traced;
     std::vector<double> traced_samples;
+    const std::uint64_t expected_golden =
+        cfg.computations * static_cast<std::uint64_t>(cfg.streams);
     for (int rep = 0; rep < kReps; ++rep) {
+      const std::uint64_t golden0 = counter("sim.golden.computations");
       auto t0 = std::chrono::steady_clock::now();
       auto res = core::explore(*b.graph, *b.schedule, cfg);
       traced_samples.push_back(seconds_since(t0));
+      tm.golden_computations = counter("sim.golden.computations") - golden0;
+      if (tm.golden_computations != expected_golden) {
+        std::fprintf(stderr,
+                     "FATAL: %s explore() ran the golden model on %llu "
+                     "computations, expected %llu (computations x streams, "
+                     "independent of the %zu points)\n",
+                     name,
+                     static_cast<unsigned long long>(tm.golden_computations),
+                     static_cast<unsigned long long>(expected_golden),
+                     res.points.size());
+        return 1;
+      }
       if (rep == 0) traced = std::move(res);
     }
     tm.traced = RunStats::from_samples(std::move(traced_samples));
@@ -308,7 +337,8 @@ int main(int argc, char** argv) {
       emit_timing(js, tm.parallel);
       js << "},\n     \"traced_timing\": {";
       emit_timing(js, tm.traced);
-      js << "},\n     \"speedup\": " << tm.serial.pct50 / tm.parallel.pct50
+      js << "},\n     \"golden_computations\": " << tm.golden_computations
+         << ", \"speedup\": " << tm.serial.pct50 / tm.parallel.pct50
          << ", \"points_per_second\": " << tm.points / tm.parallel.pct50 << "}"
          << (i + 1 < timings.size() ? "," : "") << "\n";
     }
@@ -319,7 +349,8 @@ int main(int argc, char** argv) {
        << (traced_total - parallel_total) / parallel_total
        << ",\n  \"speedup_total\": " << serial_total / parallel_total
        << ",\n  \"points_per_second_total\": " << total_points / parallel_total
-       << ",\n  \"wall_seconds\": " << seconds_since(wall0);
+       << ",\n  \"wall_seconds\": " << seconds_since(wall0)
+       << ",\n  \"host\": " << bench::host_json();
     js << ",\n  \"resume\": {\"benchmark\": \"facet\", "
        << "\"completed_before_interrupt\": "
        << resume.completed_before_interrupt

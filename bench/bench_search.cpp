@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "core/search.hpp"
+#include "host_info.hpp"
 #include "dfg/schedule.hpp"
 #include "obs/obs.hpp"
 #include "suite/benchmarks.hpp"
@@ -303,7 +304,8 @@ int main(int argc, char** argv) {
     first = false;
   }
   js << (first ? "}" : "\n  }");
-  js << ",\n  \"wall_seconds\": " << seconds_since(wall0) << "\n}\n";
+  js << ",\n  \"host\": " << bench::host_json()
+     << ",\n  \"wall_seconds\": " << seconds_since(wall0) << "\n}\n";
 
   std::remove(cache_db);
   std::printf("\nwrote BENCH_search.json (%s)\n", ok ? "all gates passed"

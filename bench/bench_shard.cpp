@@ -31,6 +31,7 @@
 #include "core/explorer.hpp"
 #include "core/serve.hpp"
 #include "core/shard.hpp"
+#include "host_info.hpp"
 #include "power/report.hpp"
 #include "suite/benchmarks.hpp"
 #include "util/stats.hpp"
@@ -232,6 +233,7 @@ int main() {
        << ", \"cached_seconds\": " << serve_cached_s
        << ", \"cached_speedup\": " << serve_computed_s / serve_cached_s
        << "},\n  \"byte_identical_reports\": true"
+       << ",\n  \"host\": " << bench::host_json()
        << ",\n  \"wall_seconds\": " << seconds_since(wall0) << "\n}\n";
   }
   std::printf("wrote BENCH_shard.json\n");

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "core/checkpoint.hpp"
+#include "dfg/interpreter.hpp"
 #include "obs/obs.hpp"
 #include "power/attribution.hpp"
 #include "sim/equivalence.hpp"
@@ -139,12 +140,11 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
   // independent of how the points are scheduled across workers. streams == 1
   // keeps the historical scalar stream derivation byte-for-byte; a
   // Monte-Carlo bundle gets per-stream splitmix-derived seeds instead.
-  sim::InputStream stream;
   std::vector<sim::InputStream> bundle;
   if (cfg.streams == 1) {
     Rng rng(cfg.seed);
-    stream = sim::uniform_stream(rng, graph.inputs().size(), cfg.computations,
-                                 graph.width());
+    bundle.push_back(sim::uniform_stream(rng, graph.inputs().size(),
+                                         cfg.computations, graph.width()));
   } else {
     bundle = sim::uniform_streams(cfg.seed, cfg.streams,
                                   graph.inputs().size(), cfg.computations,
@@ -213,6 +213,21 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     }
   }
 
+  // The golden model's outputs depend only on (graph, stream), so they are
+  // computed once per stream for the whole sweep and shared read-only, like
+  // the stimulus; every evaluated point still compares every computation of
+  // every stream against them. Built only when some owned slot will
+  // actually be evaluated: a fully replayed resume or an empty shard pays
+  // nothing.
+  std::vector<std::vector<std::uint64_t>> golden;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    if (shard_owns(cfg, i) && canonical[i] == i && !replayed[i]) {
+      const dfg::Interpreter interp(graph);
+      for (const auto& st : bundle) golden.push_back(interp.golden_outputs(st));
+      break;
+    }
+  }
+
   ExplorationResult result;
   result.points.resize(configs.size());
   result.replayed_points = replayed_count;
@@ -224,7 +239,7 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
   std::vector<char> done(configs.size(), 0);
 
   // Single-pass evaluation: one RTL simulation per point feeds both the
-  // equivalence check (sampled outputs vs. the interpreter) and the power
+  // equivalence check (sampled outputs vs. the golden table) and the power
   // estimate (the same run's Activity) — the design is never simulated
   // twice.
   auto eval_point = [&](std::size_t i) {
@@ -266,8 +281,9 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
       }
     };
     if (cfg.streams == 1) {
-      const auto res = simulator.run(stream, graph.inputs(), graph.outputs());
-      const auto rep = sim::check_outputs(graph, stream, res.outputs,
+      const auto res =
+          simulator.run(bundle[0], graph.inputs(), graph.outputs());
+      const auto rep = sim::check_outputs(graph, golden[0], res.outputs,
                                           syn.design->style_name);
       MCRTL_CHECK_MSG(rep.equivalent,
                       "explorer produced a non-equivalent design: "
@@ -283,7 +299,7 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
       std::vector<double> totals(results.size());
       std::vector<power::PowerBreakdown> brs(results.size());
       for (std::size_t s = 0; s < results.size(); ++s) {
-        const auto rep = sim::check_outputs(graph, bundle[s],
+        const auto rep = sim::check_outputs(graph, golden[s],
                                             results[s].outputs,
                                             syn.design->style_name);
         MCRTL_CHECK_MSG(rep.equivalent,

@@ -1,44 +1,73 @@
 #include "dfg/interpreter.hpp"
 
+#include "obs/obs.hpp"
 #include "util/bits.hpp"
 #include "util/error.hpp"
 
 namespace mcrtl::dfg {
 
-Interpreter::Interpreter(const Graph& g) : graph_(&g), order_(g.topo_order()) {}
+namespace {
+std::uint32_t index32(std::size_t i) {
+  MCRTL_CHECK(i <= UINT32_MAX);
+  return static_cast<std::uint32_t>(i);
+}
+}  // namespace
 
-EvalResult Interpreter::run(const InputVector& inputs) const {
-  const Graph& g = *graph_;
-  const auto ins = g.inputs();
-  MCRTL_CHECK_MSG(inputs.size() == ins.size(),
-                  "expected " << ins.size() << " inputs, got " << inputs.size());
-
-  EvalResult r;
-  r.values.assign(g.num_values(), 0);
-  for (std::size_t i = 0; i < ins.size(); ++i) {
-    r.values[ins[i].index()] = truncate(inputs[i], g.width());
-  }
+Interpreter::Interpreter(const Graph& g)
+    : width_(g.width()), num_values_(g.num_values()) {
+  for (ValueId v : g.inputs()) inputs_.push_back(index32(v.index()));
+  for (ValueId v : g.outputs()) outputs_.push_back(index32(v.index()));
   for (const auto& v : g.values()) {
     if (v.kind == ValueKind::Constant) {
-      r.values[v.id.index()] = from_signed(v.const_value, g.width());
+      constants_.emplace_back(index32(v.id.index()),
+                              from_signed(v.const_value, width_));
     }
   }
-  for (NodeId nid : order_) {
+  for (NodeId nid : g.topo_order()) {
     const Node& n = g.node(nid);
-    const std::uint64_t a = r.values[n.inputs[0].index()];
-    const std::uint64_t b = n.inputs.size() > 1 ? r.values[n.inputs[1].index()] : 0;
-    r.values[n.output.index()] = eval_op(n.op, a, b, g.width());
+    const std::uint32_t a = index32(n.inputs[0].index());
+    const std::uint32_t b =
+        n.inputs.size() > 1 ? index32(n.inputs[1].index()) : a;
+    steps_.push_back({n.op, a, b, index32(n.output.index())});
   }
-  for (ValueId out : g.outputs()) r.outputs.push_back(r.values[out.index()]);
+}
+
+void Interpreter::evaluate(const InputVector& inputs,
+                           std::uint64_t* values) const {
+  MCRTL_CHECK_MSG(inputs.size() == inputs_.size(),
+                  "expected " << inputs_.size() << " inputs, got "
+                              << inputs.size());
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    values[inputs_[i]] = truncate(inputs[i], width_);
+  }
+  for (const Step& s : steps_) {
+    values[s.out] = eval_op(s.op, values[s.a], values[s.b], width_);
+  }
+}
+
+EvalResult Interpreter::run(const InputVector& inputs) const {
+  EvalResult r;
+  r.values.assign(num_values_, 0);
+  for (const auto& [v, word] : constants_) r.values[v] = word;
+  evaluate(inputs, r.values.data());
+  r.outputs.reserve(outputs_.size());
+  for (std::uint32_t v : outputs_) r.outputs.push_back(r.values[v]);
   return r;
 }
 
-std::vector<EvalResult> Interpreter::run_stream(
+std::vector<std::uint64_t> Interpreter::golden_outputs(
     const std::vector<InputVector>& stream) const {
-  std::vector<EvalResult> out;
-  out.reserve(stream.size());
-  for (const auto& in : stream) out.push_back(run(in));
-  return out;
+  obs::Span span("sim.golden");
+  obs::count("sim.golden.computations", stream.size());
+  std::vector<std::uint64_t> values(num_values_, 0);
+  for (const auto& [v, word] : constants_) values[v] = word;
+  std::vector<std::uint64_t> table;
+  table.reserve(stream.size() * outputs_.size());
+  for (const auto& in : stream) {
+    evaluate(in, values.data());
+    for (std::uint32_t v : outputs_) table.push_back(values[v]);
+  }
+  return table;
 }
 
 }  // namespace mcrtl::dfg

@@ -7,7 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dfg/graph.hpp"
@@ -26,7 +26,9 @@ struct EvalResult {
   std::vector<std::uint64_t> outputs;
 };
 
-/// Evaluates computations of one Graph.
+/// Evaluates computations of one Graph. The constructor compiles the graph
+/// once (input and output value indices, constant words, a flat topological
+/// node table); every evaluation then runs that table.
 class Interpreter {
  public:
   explicit Interpreter(const Graph& g);
@@ -34,12 +36,31 @@ class Interpreter {
   /// Evaluate one full computation.
   EvalResult run(const InputVector& inputs) const;
 
-  /// Evaluate a stream of computations; returns one EvalResult per vector.
-  std::vector<EvalResult> run_stream(const std::vector<InputVector>& stream) const;
+  /// Golden outputs of a whole stream: one flat, computation-major table
+  /// whose element `c * K + o` is output `o` (Graph::outputs() order, K
+  /// outputs) of computation `c`. Reuses one value buffer for the whole
+  /// stream and counts `sim.golden.computations`.
+  std::vector<std::uint64_t> golden_outputs(
+      const std::vector<InputVector>& stream) const;
 
  private:
-  const Graph* graph_;
-  std::vector<NodeId> order_;  // cached topological order
+  /// One operation: operand and result value indices. Unary ops read their
+  /// operand as `b` too (eval_op ignores it).
+  struct Step {
+    Op op;
+    std::uint32_t a, b, out;
+  };
+
+  /// Bind `inputs` into `values` (constants already loaded) and run the
+  /// node table.
+  void evaluate(const InputVector& inputs, std::uint64_t* values) const;
+
+  unsigned width_;
+  std::size_t num_values_;
+  std::vector<std::uint32_t> inputs_;
+  std::vector<std::uint32_t> outputs_;
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> constants_;
+  std::vector<Step> steps_;
 };
 
 }  // namespace mcrtl::dfg

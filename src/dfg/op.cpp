@@ -2,7 +2,6 @@
 
 #include <array>
 
-#include "util/bits.hpp"
 #include "util/error.hpp"
 
 namespace mcrtl::dfg {
@@ -37,41 +36,6 @@ const OpInfo& op_info(Op op) {
   const auto i = static_cast<unsigned>(op);
   MCRTL_CHECK(i < kNumOps);
   return kOpTable[i];
-}
-
-std::uint64_t eval_op(Op op, std::uint64_t a, std::uint64_t b, unsigned width) {
-  a = truncate(a, width);
-  b = truncate(b, width);
-  const std::int64_t sa = to_signed(a, width);
-  const std::int64_t sb = to_signed(b, width);
-  // Shift amounts use the low bits of b, bounded by width, so behaviour is
-  // defined for any operand (hardware barrel shifters saturate the same way).
-  const unsigned sh = static_cast<unsigned>(b % (width < 64 ? width + 1 : 64));
-  switch (op) {
-    case Op::Add: return truncate(a + b, width);
-    case Op::Sub: return truncate(a - b, width);
-    case Op::Mul: return truncate(a * b, width);
-    case Op::Div: return b == 0 ? bit_mask(width) : truncate(a / b, width);
-    case Op::Mod: return b == 0 ? truncate(a, width) : truncate(a % b, width);
-    case Op::And: return a & b;
-    case Op::Or: return a | b;
-    case Op::Xor: return a ^ b;
-    case Op::Not: return truncate(~a, width);
-    case Op::Neg: return truncate(0 - a, width);
-    case Op::Shl: return truncate(a << sh, width);
-    case Op::Shr: return a >> sh;
-    case Op::Lt: return sa < sb ? 1 : 0;
-    case Op::Gt: return sa > sb ? 1 : 0;
-    case Op::Le: return sa <= sb ? 1 : 0;
-    case Op::Ge: return sa >= sb ? 1 : 0;
-    case Op::Eq: return a == b ? 1 : 0;
-    case Op::Ne: return a != b ? 1 : 0;
-    case Op::Min: return sa < sb ? a : b;
-    case Op::Max: return sa > sb ? a : b;
-    case Op::Pass: return a;
-  }
-  MCRTL_CHECK(false);
-  return 0;
 }
 
 Op parse_op(const std::string& text) {

@@ -10,7 +10,9 @@
 // check_outputs() compares *already sampled* outputs, so a caller that needs
 // the simulation's Activity anyway (the explorer's power estimate) can run
 // the RTL simulation once and feed both the checker and the power model
-// from the same SimResult.
+// from the same SimResult. The golden outputs depend only on (graph,
+// stream), so a caller checking many designs against one stream computes
+// them once (dfg::Interpreter::golden_outputs) and passes the table.
 #pragma once
 
 #include <string>
@@ -34,6 +36,14 @@ struct EquivalenceReport {
 /// SimResult and its Activity.
 EquivalenceReport check_outputs(const dfg::Graph& graph,
                                 const InputStream& stream,
+                                const std::vector<OutputSample>& outputs,
+                                const std::string& style_name);
+
+/// As above, against `golden` = dfg::Interpreter(graph).golden_outputs(stream)
+/// precomputed for the stream that produced `outputs`. Returns exactly the
+/// report the stream overload returns.
+EquivalenceReport check_outputs(const dfg::Graph& graph,
+                                const std::vector<std::uint64_t>& golden,
                                 const std::vector<OutputSample>& outputs,
                                 const std::string& style_name);
 

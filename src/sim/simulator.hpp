@@ -383,6 +383,22 @@ class ScopedTimeSlicedThreshold {
  private:
   std::size_t saved_;
 };
+
+/// Test seam: while alive, run_sliced() flips bit 0 of the first sampled
+/// output of computation `computation` on stream `stream`, process-wide —
+/// a stand-in for a datapath fault that shows on one stream's inputs only,
+/// so a test can drive a non-equivalent design through a caller that
+/// synthesizes and simulates internally (core::explore()). Scopes nest.
+class ScopedSlicedOutputFault {
+ public:
+  ScopedSlicedOutputFault(std::uint32_t stream, std::uint32_t computation);
+  ~ScopedSlicedOutputFault();
+  ScopedSlicedOutputFault(const ScopedSlicedOutputFault&) = delete;
+  ScopedSlicedOutputFault& operator=(const ScopedSlicedOutputFault&) = delete;
+
+ private:
+  std::uint64_t saved_;
+};
 }  // namespace testing
 
 }  // namespace mcrtl::sim

@@ -36,6 +36,7 @@
 // counting lanes.
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstring>
 #include <numeric>
 
@@ -868,6 +869,22 @@ SimResult SlicedKernel::combined_result() {
   return result;
 }
 
+namespace {
+// (stream << 32 | computation) armed by testing::ScopedSlicedOutputFault.
+constexpr std::uint64_t kNoOutputFault = ~std::uint64_t{0};
+std::atomic<std::uint64_t> g_output_fault{kNoOutputFault};
+}  // namespace
+
+namespace testing {
+ScopedSlicedOutputFault::ScopedSlicedOutputFault(std::uint32_t stream,
+                                                 std::uint32_t computation)
+    : saved_(g_output_fault.exchange(std::uint64_t{stream} << 32 |
+                                     computation)) {}
+ScopedSlicedOutputFault::~ScopedSlicedOutputFault() {
+  g_output_fault.store(saved_);
+}
+}  // namespace testing
+
 std::vector<SimResult> Simulator::run_sliced(
     const std::vector<InputStream>& streams,
     const std::vector<dfg::ValueId>& input_order,
@@ -887,7 +904,17 @@ std::vector<SimResult> Simulator::run_sliced(
   }
   SlicedKernel kernel(*this, std::move(lanes), streams[0].size(), false);
   kernel.run(input_order, output_order);
-  return kernel.stream_results();
+  auto results = kernel.stream_results();
+  const std::uint64_t fault = g_output_fault.load(std::memory_order_relaxed);
+  if (fault != kNoOutputFault) {
+    const std::size_t s = fault >> 32;
+    const std::size_t c = fault & 0xFFFFFFFFu;
+    if (s < results.size() && c < results[s].outputs.size() &&
+        !results[s].outputs[c].empty()) {
+      results[s].outputs[c][0] ^= 1;
+    }
+  }
+  return results;
 }
 
 SimResult Simulator::run_time_sliced(

@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 #include "core/explorer.hpp"
+#include "dfg/interpreter.hpp"
+#include "obs/obs.hpp"
 #include "power/report.hpp"
+#include "sim/equivalence.hpp"
+#include "sim/stimulus.hpp"
 #include "suite/benchmarks.hpp"
+#include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace mcrtl::core {
 namespace {
@@ -204,6 +211,184 @@ TEST(ReportTest, JsonEscapesSpecials) {
   EXPECT_NE(js.find("quote\\\""), std::string::npos);
   EXPECT_NE(js.find("back\\\\slash"), std::string::npos);
   EXPECT_NE(js.find("\\n"), std::string::npos);
+}
+
+/// explore() with obs collection on; returns the sim.golden.computations
+/// count it made (0 when the counter was never touched).
+std::uint64_t golden_count(const dfg::Graph& g, const dfg::Schedule& sched,
+                           const ExplorerConfig& cfg,
+                           ExplorationResult* out = nullptr) {
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  std::uint64_t counted = 0;
+  try {
+    auto r = explore(g, sched, cfg);
+    if (out) *out = std::move(r);
+  } catch (...) {
+    obs::set_enabled(false);
+    throw;
+  }
+  obs::set_enabled(false);
+  for (const auto& [name, n] : obs::Registry::instance().counters()) {
+    if (name == "sim.golden.computations") counted = n;
+  }
+  obs::Registry::instance().reset();
+  return counted;
+}
+
+TEST(ExplorerGoldenTest, GoldenModelRunsOncePerStreamPerSweep) {
+  const auto b = suite::by_name("facet", 4);
+  for (int streams : {1, 8}) {
+    for (int jobs : {1, 3}) {
+      ExplorerConfig cfg;
+      cfg.computations = 120;
+      cfg.streams = streams;
+      cfg.jobs = jobs;
+      ExplorationResult r;
+      const auto counted = golden_count(*b.graph, *b.schedule, cfg, &r);
+      ASSERT_GT(r.points.size(), 1u);
+      // N computations x S streams, independent of the P points checked.
+      EXPECT_EQ(counted, 120u * static_cast<unsigned>(streams))
+          << "streams " << streams << " jobs " << jobs;
+    }
+  }
+}
+
+TEST(ExplorerGoldenTest, NoGoldenWorkWithoutEvaluation) {
+  const auto b = suite::by_name("facet", 4);
+  const std::string journal =
+      std::string(::testing::TempDir()) + "golden_resume.journal";
+  std::remove(journal.c_str());
+  ExplorerConfig cfg;
+  cfg.computations = 100;
+  cfg.checkpoint_file = journal;
+  ExplorationResult fresh, resumed;
+  EXPECT_EQ(golden_count(*b.graph, *b.schedule, cfg, &fresh), 100u);
+  // Every point comes from the journal: nothing is evaluated, so the
+  // golden model never runs.
+  EXPECT_EQ(golden_count(*b.graph, *b.schedule, cfg, &resumed), 0u);
+  EXPECT_EQ(resumed.replayed_points, fresh.points.size());
+  ASSERT_EQ(resumed.points.size(), fresh.points.size());
+  for (std::size_t i = 0; i < fresh.points.size(); ++i) {
+    EXPECT_EQ(resumed.points[i].label, fresh.points[i].label);
+    EXPECT_EQ(resumed.points[i].power.total, fresh.points[i].power.total);
+  }
+  std::remove(journal.c_str());
+
+  // A shard that owns no slot evaluates nothing either.
+  ExplorerConfig shard;
+  shard.computations = 100;
+  shard.shard_count = static_cast<int>(num_configurations(shard)) + 1;
+  shard.shard_index = shard.shard_count - 1;
+  ExplorationResult empty;
+  EXPECT_EQ(golden_count(*b.graph, *b.schedule, shard, &empty), 0u);
+  EXPECT_TRUE(empty.points.empty());
+}
+
+// Frozen copy of the per-point check_outputs the golden table replaced: it
+// re-runs the interpreter for every computation.
+sim::EquivalenceReport reference_check_outputs(
+    const dfg::Graph& graph, const sim::InputStream& stream,
+    const std::vector<sim::OutputSample>& outputs,
+    const std::string& style_name) {
+  sim::EquivalenceReport rep;
+  const auto out_order = graph.outputs();
+  dfg::Interpreter interp(graph);
+  for (std::size_t c = 0; c < stream.size(); ++c) {
+    const auto golden = interp.run(stream[c]);
+    for (std::size_t o = 0; o < out_order.size(); ++o) {
+      if (golden.outputs[o] != outputs[c][o]) {
+        rep.equivalent = false;
+        rep.first_mismatch = c;
+        rep.detail = str_format(
+            "computation %zu, output '%s': golden=%llu rtl=%llu (style '%s')", c,
+            graph.value(out_order[o]).name.c_str(),
+            static_cast<unsigned long long>(golden.outputs[o]),
+            static_cast<unsigned long long>(outputs[c][o]),
+            style_name.c_str());
+        rep.computations_checked = c + 1;
+        return rep;
+      }
+    }
+  }
+  rep.computations_checked = stream.size();
+  return rep;
+}
+
+void expect_same_report(const sim::EquivalenceReport& a,
+                        const sim::EquivalenceReport& b) {
+  EXPECT_EQ(a.equivalent, b.equivalent);
+  EXPECT_EQ(a.computations_checked, b.computations_checked);
+  EXPECT_EQ(a.first_mismatch, b.first_mismatch);
+  EXPECT_EQ(a.detail, b.detail);
+}
+
+TEST(ExplorerGoldenTest, CheckOutputsOverloadsAgree) {
+  const auto b = suite::by_name("bandpass", 8);
+  SynthesisOptions opts;
+  opts.style = DesignStyle::MultiClock;
+  opts.num_clocks = 3;
+  const auto syn = synthesize(*b.graph, *b.schedule, opts);
+  Rng rng(77);
+  const auto stream =
+      sim::uniform_stream(rng, b.graph->inputs().size(), 90, 8);
+  sim::Simulator simulator(*syn.design);
+  const auto res =
+      simulator.run(stream, b.graph->inputs(), b.graph->outputs());
+  const auto table = dfg::Interpreter(*b.graph).golden_outputs(stream);
+  const std::string style = syn.design->style_name;
+
+  auto check_all = [&](const std::vector<sim::OutputSample>& outs) {
+    const auto ref = reference_check_outputs(*b.graph, stream, outs, style);
+    expect_same_report(sim::check_outputs(*b.graph, stream, outs, style), ref);
+    expect_same_report(sim::check_outputs(*b.graph, table, outs, style), ref);
+    return ref;
+  };
+  EXPECT_TRUE(check_all(res.outputs).equivalent);
+  EXPECT_EQ(check_all(res.outputs).computations_checked, stream.size());
+
+  const std::size_t last_out = b.graph->outputs().size() - 1;
+  for (std::size_t c : {std::size_t{0}, stream.size() / 2, stream.size() - 1}) {
+    for (std::size_t o : {std::size_t{0}, last_out}) {
+      auto outs = res.outputs;
+      outs[c][o] ^= 1;
+      const auto rep = check_all(outs);
+      EXPECT_FALSE(rep.equivalent);
+      EXPECT_EQ(rep.first_mismatch, c);
+      EXPECT_EQ(rep.computations_checked, c + 1);
+    }
+  }
+}
+
+TEST(ExplorerGoldenTest, RejectsDesignDivergingOnOneStream) {
+  // Every stream is checked against its own golden table: a fault on one
+  // computation of one stream — whichever stream — fails the point, and
+  // the report names that stream and computation.
+  ExplorerConfig cfg;
+  cfg.computations = 60;
+  cfg.max_clocks = 2;
+  cfg.streams = 8;
+  const auto b = suite::by_name("hal", 4);
+  for (std::uint32_t stream : {0u, 5u, 7u}) {
+    for (int jobs : {1, 4}) {
+      cfg.jobs = jobs;
+      sim::testing::ScopedSlicedOutputFault fault(stream, 41);
+      try {
+        explore(*b.graph, *b.schedule, cfg);
+        ADD_FAILURE() << "divergent stream " << stream << " accepted";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(str_format("explorer produced a non-equivalent "
+                                       "design (stream %u): computation 41, "
+                                       "output",
+                                       stream)),
+                  std::string::npos)
+            << what;
+      }
+    }
+  }
+  // The fault is scoped: the same sweep passes once it is gone.
+  EXPECT_NO_THROW(explore(*b.graph, *b.schedule, cfg));
 }
 
 }  // namespace
