@@ -1,15 +1,18 @@
 // Multi-process sharded sweeps: aggregate throughput and merge cost.
 //
-// One sweep (facet, max_clocks 4 = 9 points, 4000 computations — the
-// bench_explorer_report regime) is run three ways:
+// One sweep (ewf at width 8, max_clocks 4 = 9 points, 12000 computations —
+// long enough that the unsharded run takes a few hundred milliseconds, so
+// process start-up and merge are not the whole measurement) is run three
+// ways:
 //
 //  * unsharded, in-process, jobs = 1 — the baseline every leg must match
 //    byte-for-byte;
 //  * sharded across K worker *processes* (K in {1, 2, 4}): fork K
 //    children (no exec — the parent is single-threaded, so plain fork is
 //    safe and skips binary startup), each explores its round-robin slice
-//    into its own journal, the parent merges. The timed leg is the whole
-//    fork -> wait -> merge pipeline, i.e. what a user of `--shard` pays;
+//    into its own checkpoint file, the parent merges. The timed leg is the
+//    whole fork -> wait -> merge pipeline, i.e. what a user of `--shard`
+//    pays;
 //  * through the sweep daemon: one computed round-trip, one served from
 //    the point cache (the two costs a `mcrtl serve` client sees).
 //
@@ -40,7 +43,10 @@ using namespace mcrtl;
 
 namespace {
 
-constexpr std::size_t kComputations = 4000;
+constexpr const char* kBenchmark = "ewf";
+constexpr unsigned kWidth = 8;
+constexpr int kClocks = 4;
+constexpr std::size_t kComputations = 12000;
 constexpr int kReps = 5;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -50,7 +56,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 core::ExplorerConfig sweep_config() {
   core::ExplorerConfig cfg;
-  cfg.max_clocks = 4;
+  cfg.max_clocks = kClocks;
   cfg.computations = kComputations;
   cfg.jobs = 1;
   return cfg;
@@ -58,7 +64,7 @@ core::ExplorerConfig sweep_config() {
 
 std::string report_bytes(const core::ExplorationResult& r) {
   const auto recs =
-      core::explore_records(r, "facet", 4, kComputations, 1);
+      core::explore_records(r, kBenchmark, kWidth, kComputations, 1);
   return power::to_csv(recs) + "\n---\n" + power::to_json(recs);
 }
 
@@ -79,92 +85,107 @@ int main() {
 
 int main() {
   const auto wall0 = std::chrono::steady_clock::now();
-  const auto b = suite::by_name("facet", 4);
+  const auto b = suite::by_name(kBenchmark, kWidth);
   const auto cfg = sweep_config();
   const std::size_t points = core::num_configurations(cfg);
 
-  std::printf("=== sharded sweeps: facet x %zu points, %zu computations "
+  std::printf("=== sharded sweeps: %s/w%u x %zu points, %zu computations "
               "===\n\n",
-              points, kComputations);
+              kBenchmark, kWidth, points, kComputations);
 
-  // Baseline: unsharded, in-process.
-  core::ExplorationResult baseline;
+  // Baseline: unsharded, in-process — run once up front for the reference
+  // bytes, then timed alongside the sharded legs.
+  const auto baseline = core::explore(*b.graph, *b.schedule, cfg);
+  const std::string expect = report_bytes(baseline);
+
+  // Sharded legs: K real worker processes, then the strict merge. Returns
+  // false on a failed worker or a merged report that differs.
+  auto shard_leg = [&](int K, double& total_s, double& merge_s) {
+    std::vector<std::string> journals;
+    for (int k = 0; k < K; ++k) {
+      journals.push_back("bench_shard_" + std::to_string(K) + "_" +
+                         std::to_string(k) + ".journal");
+      std::remove(journals.back().c_str());
+    }
+    auto t0 = std::chrono::steady_clock::now();
+    std::vector<pid_t> kids;
+    for (int k = 0; k < K; ++k) {
+      const pid_t pid = fork();
+      if (pid < 0) {
+        std::fprintf(stderr, "FATAL: fork failed\n");
+        return false;
+      }
+      if (pid == 0) {
+        auto shard = cfg;
+        shard.shard_index = k;
+        shard.shard_count = K;
+        shard.checkpoint_file = journals[static_cast<std::size_t>(k)];
+        core::explore(*b.graph, *b.schedule, shard);
+        _exit(0);
+      }
+      kids.push_back(pid);
+    }
+    bool ok = true;
+    for (const pid_t pid : kids) {
+      int status = 0;
+      waitpid(pid, &status, 0);
+      ok = ok && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "FATAL: shard worker failed (K=%d)\n", K);
+      return false;
+    }
+    auto tm = std::chrono::steady_clock::now();
+    const auto merged =
+        core::merge_shard_journals(*b.graph, *b.schedule, cfg, journals);
+    merge_s = seconds_since(tm);
+    total_s = seconds_since(t0);
+    for (const auto& j : journals) std::remove(j.c_str());
+    if (report_bytes(merged) != expect) {
+      std::fprintf(stderr,
+                   "FATAL: K=%d merged reports differ from the unsharded "
+                   "run\n",
+                   K);
+      return false;
+    }
+    return true;
+  };
+
+  // The legs are interleaved rep by rep, so drift on a noisy host shifts
+  // every leg alike instead of biasing the speedups.
+  const int kWorkers[] = {1, 2, 4};
   std::vector<double> base_samples;
+  std::vector<std::vector<double>> total_samples(3), merge_samples(3);
   for (int rep = 0; rep < kReps; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
-    auto r = core::explore(*b.graph, *b.schedule, cfg);
+    core::explore(*b.graph, *b.schedule, cfg);
     base_samples.push_back(seconds_since(t0));
-    if (rep == 0) baseline = std::move(r);
+    for (std::size_t l = 0; l < 3; ++l) {
+      double total_s = 0, merge_s = 0;
+      if (!shard_leg(kWorkers[l], total_s, merge_s)) return 1;
+      total_samples[l].push_back(total_s);
+      merge_samples[l].push_back(merge_s);
+    }
   }
   const RunStats base = RunStats::from_samples(std::move(base_samples));
-  const std::string expect = report_bytes(baseline);
   std::printf("unsharded: pct50 %.3fs (%.1f points/s)\n", base.pct50,
               static_cast<double>(points) / base.pct50);
 
-  // Sharded legs: K real worker processes, then the strict merge.
   struct ShardTiming {
     int workers = 0;
     RunStats total;   ///< fork -> wait -> merge, the user-visible cost
     RunStats merge;   ///< the merge alone
   };
   std::vector<ShardTiming> legs;
-  for (int K : {1, 2, 4}) {
-    std::vector<double> total_samples, merge_samples;
-    for (int rep = 0; rep < kReps; ++rep) {
-      std::vector<std::string> journals;
-      for (int k = 0; k < K; ++k) {
-        journals.push_back("bench_shard_" + std::to_string(K) + "_" +
-                           std::to_string(k) + ".journal");
-        std::remove(journals.back().c_str());
-      }
-      auto t0 = std::chrono::steady_clock::now();
-      std::vector<pid_t> kids;
-      for (int k = 0; k < K; ++k) {
-        const pid_t pid = fork();
-        if (pid < 0) {
-          std::fprintf(stderr, "FATAL: fork failed\n");
-          return 1;
-        }
-        if (pid == 0) {
-          auto shard = cfg;
-          shard.shard_index = k;
-          shard.shard_count = K;
-          shard.checkpoint_file = journals[static_cast<std::size_t>(k)];
-          core::explore(*b.graph, *b.schedule, shard);
-          _exit(0);
-        }
-        kids.push_back(pid);
-      }
-      for (const pid_t pid : kids) {
-        int status = 0;
-        waitpid(pid, &status, 0);
-        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-          std::fprintf(stderr, "FATAL: shard worker failed (K=%d)\n", K);
-          return 1;
-        }
-      }
-      auto tm = std::chrono::steady_clock::now();
-      const auto merged =
-          core::merge_shard_journals(*b.graph, *b.schedule, cfg, journals);
-      merge_samples.push_back(seconds_since(tm));
-      total_samples.push_back(seconds_since(t0));
-      if (report_bytes(merged) != expect) {
-        std::fprintf(stderr,
-                     "FATAL: K=%d merged reports differ from the unsharded "
-                     "run\n",
-                     K);
-        return 1;
-      }
-      for (const auto& j : journals) std::remove(j.c_str());
-    }
+  for (std::size_t l = 0; l < 3; ++l) {
     ShardTiming leg;
-    leg.workers = K;
-    leg.total = RunStats::from_samples(std::move(total_samples));
-    leg.merge = RunStats::from_samples(std::move(merge_samples));
+    leg.workers = kWorkers[l];
+    leg.total = RunStats::from_samples(std::move(total_samples[l]));
+    leg.merge = RunStats::from_samples(std::move(merge_samples[l]));
     legs.push_back(leg);
     std::printf("K=%d workers: pct50 %.3fs total (merge %.4fs), speedup "
                 "%.2fx, %.1f points/s, reports byte-identical\n",
-                K, leg.total.pct50, leg.merge.pct50,
+                leg.workers, leg.total.pct50, leg.merge.pct50,
                 base.pct50 / leg.total.pct50,
                 static_cast<double>(points) / leg.total.pct50);
   }
@@ -178,9 +199,9 @@ int main() {
   core::SweepServer server(scfg);
   server.start();
   core::SweepRequest req;
-  req.benchmark = "facet";
-  req.width = 4;
-  req.clocks = 4;
+  req.benchmark = kBenchmark;
+  req.width = kWidth;
+  req.clocks = kClocks;
   req.computations = kComputations;
   req.seed = cfg.seed;  // SweepRequest defaults to the CLI seed (1996)
   auto t0 = std::chrono::steady_clock::now();
@@ -195,7 +216,7 @@ int main() {
     return 1;
   }
   const std::string expect_csv =
-      power::to_csv(core::explore_records(baseline, "facet", 4,
+      power::to_csv(core::explore_records(baseline, kBenchmark, kWidth,
                                           kComputations, 1));
   if (computed.payload != expect_csv || cached.payload != expect_csv) {
     std::fprintf(stderr,
@@ -208,7 +229,8 @@ int main() {
 
   {
     std::ofstream js("BENCH_shard.json");
-    js << "{\n  \"benchmark\": \"facet\",\n  \"points\": " << points
+    js << "{\n  \"benchmark\": \"" << kBenchmark << "\",\n  \"width\": "
+       << kWidth << ",\n  \"points\": " << points
        << ",\n  \"computations\": " << kComputations
        << ",\n  \"worker_model\": \"fork_per_shard\""
        << ",\n  \"unsharded_seconds\": " << base.pct50

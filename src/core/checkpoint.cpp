@@ -1,14 +1,15 @@
 #include "core/checkpoint.hpp"
 
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "core/record.hpp"
+#include "core/synthesizer.hpp"
 #include "dfg/textio.hpp"
 #include "util/fault_injection.hpp"
-#include "util/strings.hpp"
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -23,100 +24,97 @@ using record::encode_str;
 using record::encode_u64;
 using record::fnv1a64;
 
-// v4: DesignStats grew `period` (29 payload tokens) and the fingerprint
-// covers per-configuration hashes (ExplorerConfig::explicit_configs). v3
-// had added hotspot/hotspot_share/crest (28); v2 power_stddev/power_ci95
-// (25). A journal from an older version no longer matches the magic and is
-// treated as absent — the sweep starts fresh and overwrites it. The token
-// codec itself lives in core/record.hpp, shared with the search layer's
-// result cache.
-constexpr const char* kMagic = "mcrtl-journal v4 fp=";
+// One format for checkpoint files and cache DBs. Files in the formats it
+// replaced ("mcrtl-journal v4", "mcrtl-cache v1") carry a foreign header:
+// they read as absent or cold and the first append replaces them.
+constexpr const char* kMagic = "mcrtl-store v1 fp=";
 
-/// The journalled payload of one record, without the leading "p " and the
-/// trailing checksum.
-std::string record_payload(std::size_t index, const ExplorationPoint& p) {
-  std::ostringstream os;
-  os << index << ' ' << record::encode_point_fields(p);
-  return os.str();
+std::string header_line(std::uint64_t scope) {
+  return kMagic + encode_u64(scope) + '\n';
 }
 
-std::string record_line(std::size_t index, const ExplorationPoint& p) {
-  const std::string payload = record_payload(index, p);
-  return "p " + payload + ' ' + encode_u64(fnv1a64(payload)) + '\n';
+/// The scope of a header line (without '\n'); false if it is not one.
+bool parse_header(const std::string& first, std::uint64_t& scope) {
+  const std::size_t n = std::strlen(kMagic);
+  return first.size() == n + 16 && first.compare(0, n, kMagic) == 0 &&
+         record::decode_u64(first.substr(n), scope);
 }
 
-/// Parse one complete record line. Returns false (leaving `index`/`point`
-/// untouched as far as the caller is concerned) on any malformation.
-bool parse_record(const std::string& line, std::size_t& index,
-                  ExplorationPoint& point) {
-  if (line.rfind("p ", 0) != 0) return false;
+std::string record_line(const ResultCache::Record& r) {
+  std::string payload;
+  if (r.point) {
+    payload = encode_u64(r.key) + ' ' + record::encode_point_fields(*r.point);
+  } else {
+    payload = encode_u64(r.sweep_fp) + ' ' + encode_u64(r.key) + ' ' +
+              std::to_string(r.mark.rung) + ' ' +
+              encode_str(r.mark.dominated_by);
+  }
+  return (r.point ? "r " : "x ") + payload + ' ' +
+         encode_u64(fnv1a64(payload)) + '\n';
+}
+
+/// A decoded record line.
+struct Parsed {
+  bool row = false;
+  std::uint64_t key = 0;
+  std::uint64_t sweep_fp = 0;
+  ExplorationPoint point;
+  ResultCache::PrunedMark mark;
+};
+
+/// The one record-line parser: kind, checksum, then fields of a complete
+/// line (without its '\n'). False on any malformation.
+bool parse_line(const std::string& line, Parsed& out) {
+  out.row = line.rfind("r ", 0) == 0;
+  if (!out.row && line.rfind("x ", 0) != 0) return false;
   const std::size_t crc_sep = line.rfind(' ');
-  if (crc_sep == std::string::npos || crc_sep < 2) return false;
+  if (crc_sep < 2) return false;
   const std::string payload = line.substr(2, crc_sep - 2);
   std::uint64_t crc = 0;
-  if (!record::decode_u64(line.substr(crc_sep + 1), crc)) return false;
-  if (crc != fnv1a64(payload)) return false;
-
+  if (!record::decode_u64(line.substr(crc_sep + 1), crc) ||
+      crc != fnv1a64(payload)) {
+    return false;
+  }
   const auto toks = record::split_tokens(payload);
-  if (toks.size() != 1 + record::kPointTokens) return false;
+  if (out.row) {
+    return toks.size() == 1 + record::kPointTokens &&
+           record::decode_u64(toks[0], out.key) &&
+           record::decode_point_fields(toks, 1, out.point);
+  }
+  if (toks.size() != 4 || !record::decode_u64(toks[0], out.sweep_fp) ||
+      !record::decode_u64(toks[1], out.key) ||
+      !record::decode_str(toks[3], out.mark.dominated_by)) {
+    return false;
+  }
   char* end = nullptr;
   errno = 0;
-  index = static_cast<std::size_t>(std::strtoull(toks[0].c_str(), &end, 10));
-  if (errno != 0 || end == toks[0].c_str() || *end != '\0') return false;
-  return record::decode_point_fields(toks, 1, point);
+  const long rung = std::strtol(toks[2].c_str(), &end, 10);
+  if (errno != 0 || end == toks[2].c_str() || *end != '\0') return false;
+  out.mark.rung = static_cast<int>(rung);
+  return true;
 }
 
-std::string header_line(std::uint64_t fp) {
-  return std::string(kMagic) +
-         str_format("%016llx", static_cast<unsigned long long>(fp)) + '\n';
+/// Two rows agree when everything measured agrees. The label is not
+/// compared: duplicate configurations under two labels share one key.
+bool same_measurement(ExplorationPoint a, ExplorationPoint b) {
+  a.label.clear();
+  b.label.clear();
+  return record::encode_point_fields(a) == record::encode_point_fields(b);
 }
 
-/// Classify the first line of an existing journal file.
-enum class HeaderState { Missing, Matches, Mismatch };
-
-HeaderState read_header(const std::string& path, std::uint64_t fp) {
+bool slurp(const std::string& path, std::string& content) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return HeaderState::Missing;
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  const std::size_t nl = content.find('\n');
-  // An incomplete first line (crash before the header fsync finished) is
-  // treated as no journal at all.
-  if (nl == std::string::npos) return HeaderState::Missing;
-  const std::string first = content.substr(0, nl);
-  if (first.rfind(kMagic, 0) != 0) return HeaderState::Missing;
-  std::string expected = header_line(fp);
-  expected.pop_back();  // drop the '\n'
-  return first == expected ? HeaderState::Matches : HeaderState::Mismatch;
+  if (!in) return false;
+  content.assign((std::istreambuf_iterator<char>(in)),
+                 std::istreambuf_iterator<char>());
+  return true;
 }
 
-void fsync_file(std::FILE* f) {
-  if (std::fflush(f) != 0) throw Error("journal flush failed");
+void flush_and_sync(std::FILE* f) {
+  if (std::fflush(f) != 0) throw Error("point store flush failed");
 #ifndef _WIN32
-  if (::fsync(fileno(f)) != 0) throw Error("journal fsync failed");
+  if (::fsync(fileno(f)) != 0) throw Error("point store fsync failed");
 #endif
-}
-
-/// Drop a torn tail (bytes after the last '\n') before reopening for
-/// append. Without this, the first record a resumed run appends would
-/// concatenate onto the partial line a SIGKILL left behind, corrupting a
-/// *mid-file* record — which the tolerant loader treats as the end of the
-/// journal and the strict loader rejects outright.
-void truncate_torn_tail(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return;
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  in.close();
-  if (content.empty() || content.back() == '\n') return;
-  const std::size_t nl = content.find_last_of('\n');
-  const std::size_t keep = nl == std::string::npos ? 0 : nl + 1;
-#ifndef _WIN32
-  if (::truncate(path.c_str(), static_cast<off_t>(keep)) == 0) return;
-#endif
-  // Fallback: rewrite the prefix.
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(content.data(), static_cast<std::streamsize>(keep));
 }
 
 }  // namespace
@@ -127,8 +125,8 @@ std::uint64_t measurement_fingerprint(const dfg::Graph& graph,
                                       std::uint64_t seed, std::size_t streams,
                                       const power::PowerParams& params) {
   // v3: both levelized kernels drain a settle in (level, CompId) order, so a
-  // point's crest can differ from a v2 record in the last bit. Journals and
-  // caches written before that are stale, not mixable.
+  // point's crest can differ from a v2 record in the last bit. Stores
+  // written before that are stale, not mixable.
   std::ostringstream os;
   os << "mcrtl-explorer-v3\n" << dfg::serialize_dfg(graph, &sched) << '\n'
      << computations << ' ' << seed << ' ' << streams << ' '
@@ -138,9 +136,9 @@ std::uint64_t measurement_fingerprint(const dfg::Graph& graph,
   return fnv1a64(os.str());
 }
 
-std::uint64_t CheckpointJournal::fingerprint(const ExplorerConfig& cfg,
-                                             const dfg::Graph& graph,
-                                             const dfg::Schedule& sched) {
+std::uint64_t sweep_fingerprint(const ExplorerConfig& cfg,
+                                const dfg::Graph& graph,
+                                const dfg::Schedule& sched) {
   std::ostringstream os;
   os << encode_u64(measurement_fingerprint(graph, sched, cfg.computations,
                                            cfg.seed, cfg.streams,
@@ -151,190 +149,258 @@ std::uint64_t CheckpointJournal::fingerprint(const ExplorerConfig& cfg,
   // The enumerated (label, config-hash) pairs pin the enumeration logic
   // itself — including explicit_configs lists, whose labels alone would
   // not determine the options: if a future library version (or a different
-  // caller-supplied list) enumerates differently, old journals are stale.
+  // caller-supplied list) enumerates differently, old checkpoints are stale.
   for (const auto& [opts, label] : enumerate_configurations(cfg)) {
     os << label << ' ' << encode_u64(config_hash(opts)) << '\n';
   }
   return fnv1a64(os.str());
 }
 
-CheckpointJournal::LoadResult CheckpointJournal::load(
-    const std::string& path, std::uint64_t fp,
-    const std::vector<std::pair<SynthesisOptions, std::string>>& configs) {
-  fault::inject("journal.load");
-  LoadResult res;
-  res.points.resize(configs.size());
-  switch (read_header(path, fp)) {
-    case HeaderState::Missing:
-      return res;
-    case HeaderState::Mismatch:
-      throw JournalMismatchError(
-          "checkpoint journal '" + path +
-          "' was written by a different exploration configuration; refusing "
-          "to resume (delete it or pass a matching ExplorerConfig)");
-    case HeaderState::Matches:
-      break;
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open checkpoint journal '" + path + "'");
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  std::size_t pos = content.find('\n') + 1;  // skip the verified header
-  while (pos < content.size()) {
-    const std::size_t nl = content.find('\n', pos);
-    // A line without its terminating newline is the torn tail of a crashed
-    // append: stop replaying here.
-    if (nl == std::string::npos) break;
-    const std::string line = content.substr(pos, nl - pos);
-    pos = nl + 1;
-    std::size_t index;
-    ExplorationPoint point;
-    // Append-only files can only be damaged at the tail, so the first bad
-    // record ends the replay.
-    if (!parse_record(line, index, point)) break;
-    if (index >= configs.size() || point.label != configs[index].second) break;
-    point.options = configs[index].first;
-    point.pareto = false;  // recomputed after the sweep
-    if (!res.points[index]) ++res.replayed;
-    res.points[index] = std::move(point);
-  }
-  return res;
-}
+// ---- reading ----------------------------------------------------------------
 
-CheckpointJournal::LoadResult CheckpointJournal::load_strict(
-    const std::string& path, std::uint64_t fp,
-    const std::vector<std::pair<SynthesisOptions, std::string>>& configs) {
-  LoadResult res;
-  res.points.resize(configs.size());
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open shard journal '" + path + "'");
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+ResultCache::LoadStats ResultCache::read(const std::string& path,
+                                         std::uint64_t scope, bool strict) {
+  LoadStats st;
+  auto corrupt = [&](const std::string& what) {
+    throw JournalCorruptError("point store '" + path + "' " + what);
+  };
+  std::string content;
+  if (!slurp(path, content)) {
+    if (strict) throw Error("cannot open point store '" + path + "'");
+    return st;
+  }
+  if (content.empty() && !strict) return st;
   const std::size_t hdr_nl = content.find('\n');
-  if (hdr_nl == std::string::npos) {
-    throw JournalCorruptError("shard journal '" + path +
-                              "' has no complete header line");
+  std::uint64_t file_scope = 0;
+  if (hdr_nl == std::string::npos ||
+      !parse_header(content.substr(0, hdr_nl), file_scope)) {
+    // A foreign, old or damaged header: nothing in this file can be
+    // trusted. Resume and the caches start cold; a merge refuses.
+    if (strict) corrupt("does not start with a valid '" +
+                        std::string(kMagic) + "' header");
+    st.bad_lines = 1;
+    return st;
   }
-  const std::string first = content.substr(0, hdr_nl);
-  if (first.rfind(kMagic, 0) != 0) {
-    throw JournalCorruptError("shard journal '" + path +
-                              "' does not carry a journal header");
-  }
-  std::string expected = header_line(fp);
-  expected.pop_back();
-  if (first != expected) {
+  if (file_scope != scope) {
     throw JournalMismatchError(
-        "shard journal '" + path +
-        "' was written by a different exploration configuration (stale "
-        "fingerprint " + first.substr(std::strlen(kMagic)) + ")");
+        "point store '" + path + "' belongs to " +
+        (file_scope == 0
+             ? std::string("no sweep (a cache DB)")
+             : "another sweep (scope " + encode_u64(file_scope) + ")") +
+        ", expected " +
+        (scope == 0 ? std::string("a cache DB")
+                    : "scope " + encode_u64(scope)) +
+        "; refusing to mix measurements (delete it or pass a matching "
+        "configuration)");
   }
-  if (!content.empty() && content.back() != '\n') {
-    throw JournalCorruptError(
-        "shard journal '" + path +
-        "' ends in a torn record — the shard crashed mid-append and was "
-        "never resumed to completion; re-run it before merging");
+  if (strict && content.back() != '\n') {
+    corrupt("ends in a torn record — the writer crashed mid-append and was "
+            "never resumed to completion; re-run it first");
   }
-  std::size_t pos = hdr_nl + 1;
   std::size_t lineno = 1;
-  while (pos < content.size()) {
+  for (std::size_t pos = hdr_nl + 1; pos < content.size();) {
     const std::size_t nl = content.find('\n', pos);
-    MCRTL_CHECK(nl != std::string::npos);  // torn tail excluded above
-    const std::string line = content.substr(pos, nl - pos);
-    pos = nl + 1;
     ++lineno;
-    std::size_t index;
-    ExplorationPoint point;
-    if (!parse_record(line, index, point)) {
-      throw JournalCorruptError("shard journal '" + path + "' line " +
-                                std::to_string(lineno) +
-                                ": malformed or checksum-failing record");
-    }
-    if (index >= configs.size()) {
-      throw JournalCorruptError(
-          "shard journal '" + path + "' line " + std::to_string(lineno) +
-          ": index " + std::to_string(index) + " is outside the enumeration");
-    }
-    if (point.label != configs[index].second) {
-      throw JournalCorruptError(
-          "shard journal '" + path + "' line " + std::to_string(lineno) +
-          ": label '" + point.label + "' does not match enumerated '" +
-          configs[index].second + "' at index " + std::to_string(index));
-    }
-    if (res.points[index]) {
-      throw JournalCorruptError("shard journal '" + path + "' line " +
-                                std::to_string(lineno) + ": duplicate record "
-                                "for index " + std::to_string(index));
-    }
-    point.options = configs[index].first;
-    point.pareto = false;
-    res.points[index] = std::move(point);
-    ++res.replayed;
-  }
-  return res;
-}
-
-CheckpointJournal::CheckpointJournal(const std::string& path,
-                                     std::uint64_t fp) {
-  switch (read_header(path, fp)) {
-    case HeaderState::Mismatch:
-      throw JournalMismatchError("checkpoint journal '" + path +
-                                 "' belongs to a different exploration");
-    case HeaderState::Matches:
-      truncate_torn_tail(path);
-      f_ = std::fopen(path.c_str(), "ab");
-      break;
-    case HeaderState::Missing: {
-      f_ = std::fopen(path.c_str(), "wb");
-      if (!f_) break;
-      const std::string hdr = header_line(fp);
-      try {
-        if (std::fwrite(hdr.data(), 1, hdr.size(), f_) != hdr.size()) {
-          throw Error("journal header write failed");
-        }
-        fsync_file(f_);
-      } catch (...) {
-        std::fclose(f_);
-        f_ = nullptr;
+    Parsed rec;
+    // A line without its newline is the torn tail of a crashed append.
+    if (nl == std::string::npos ||
+        !parse_line(content.substr(pos, nl - pos), rec)) {
+      if (strict) {
+        corrupt("line " + std::to_string(lineno) +
+                ": malformed or checksum-failing record");
       }
-      break;
+      ++st.bad_lines;
+      if (nl == std::string::npos) break;
+      pos = nl + 1;
+      continue;
+    }
+    pos = nl + 1;
+    ++st.records;
+    auto disagree = [&] {
+      throw MergeError("point store '" + path + "' line " +
+                       std::to_string(lineno) + " disagrees with an earlier "
+                       "record for key " + encode_u64(rec.key) +
+                       " — the files did not come from the same sweep");
+    };
+    if (rec.row) {
+      const auto [it, fresh] = rows_.try_emplace(rec.key, rec.point);
+      if (fresh) continue;
+      if (strict && !same_measurement(it->second, rec.point)) disagree();
+      ++st.superseded;
+      it->second = std::move(rec.point);
+    } else {
+      const auto [it, fresh] =
+          pruned_.try_emplace({rec.sweep_fp, rec.key}, rec.mark);
+      if (fresh) continue;
+      if (strict && (it->second.rung != rec.mark.rung ||
+                     it->second.dominated_by != rec.mark.dominated_by)) {
+        disagree();
+      }
+      ++st.superseded;
+      it->second = std::move(rec.mark);
     }
   }
+  return st;
 }
 
-CheckpointJournal::~CheckpointJournal() {
-  std::lock_guard<std::mutex> lk(m_);
+std::size_t ResultCache::load(const std::string& path) {
+  return read(path, /*scope=*/0, /*strict=*/false).bad_lines;
+}
+
+ResultCache::LoadStats ResultCache::load_and_compact(
+    const std::string& path, std::uint64_t scope) {
+  {
+    std::lock_guard<std::mutex> lk(io_m_);
+    if (f_) std::fclose(f_);
+    f_ = nullptr;
+    path_ = path;
+    persist_ = true;
+  }
+  scope_ = scope;
+  fault::inject("journal.load");
+  // Parse into a scratch cache so the duplicate count reflects the file
+  // alone, not records this cache already held.
+  ResultCache scratch;
+  scratch.scope_ = scope;
+  LoadStats st = scratch.read(path, scope, /*strict=*/false);
+  if ((st.bad_lines > 0 || st.superseded > 0) && st.records > 0) {
+    st.rewritten = scratch.save(path);
+  }
+  for (auto& [key, p] : scratch.rows_) rows_[key] = std::move(p);
+  for (auto& [key, m] : scratch.pruned_) pruned_[key] = std::move(m);
+  return st;
+}
+
+ResultCache::LoadStats ResultCache::load_strict(const std::string& path,
+                                                std::uint64_t scope) {
+  return read(path, scope, /*strict=*/true);
+}
+
+// ---- in memory --------------------------------------------------------------
+
+const ExplorationPoint* ResultCache::find_row(std::uint64_t key) const {
+  const auto it = rows_.find(key);
+  return it == rows_.end() ? nullptr : &it->second;
+}
+
+const ResultCache::PrunedMark* ResultCache::find_pruned(
+    std::uint64_t sweep_fp, std::uint64_t key) const {
+  const auto it = pruned_.find({sweep_fp, key});
+  return it == pruned_.end() ? nullptr : &it->second;
+}
+
+void ResultCache::put_row(std::uint64_t key, const ExplorationPoint& p) {
+  rows_[key] = p;
+}
+
+void ResultCache::put_pruned(std::uint64_t sweep_fp, std::uint64_t key,
+                             const PrunedMark& mark) {
+  pruned_[{sweep_fp, key}] = mark;
+}
+
+// ---- writing ----------------------------------------------------------------
+
+ResultCache::~ResultCache() {
   if (f_) std::fclose(f_);
-  f_ = nullptr;
 }
 
-bool CheckpointJournal::ok() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return f_ != nullptr;
+/// Open the bound store for appending (io_m_ held): truncate it when it is
+/// missing, empty or foreign and return the header the first write must
+/// carry; otherwise drop a torn tail — the bytes after the last '\n' a
+/// crashed or failed append left — so the next record starts on a line of
+/// its own, and return "".
+std::string ResultCache::open_store() {
+  std::string content;
+  slurp(path_, content);
+  const std::size_t hdr_nl = content.find('\n');
+  std::uint64_t scope = 0;
+  if (hdr_nl == std::string::npos ||
+      !parse_header(content.substr(0, hdr_nl), scope)) {
+    f_ = std::fopen(path_.c_str(), "wb");
+    if (!f_) throw Error("cannot create point store '" + path_ + "'");
+    return header_line(scope_);
+  }
+  if (scope != scope_) {
+    throw JournalMismatchError("point store '" + path_ +
+                               "' changed scope while bound");
+  }
+  if (content.back() != '\n') {
+    const std::size_t keep = content.find_last_of('\n') + 1;
+#ifndef _WIN32
+    if (::truncate(path_.c_str(), static_cast<off_t>(keep)) != 0)
+#endif
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out.write(content.data(), static_cast<std::streamsize>(keep));
+      if (!out) throw Error("cannot truncate point store '" + path_ + "'");
+    }
+  }
+  f_ = std::fopen(path_.c_str(), "ab");
+  if (!f_) throw Error("cannot open point store '" + path_ + "'");
+  return "";
 }
 
-bool CheckpointJournal::append(std::size_t index,
-                               const ExplorationPoint& point) {
-  std::lock_guard<std::mutex> lk(m_);
-  if (!f_) return false;
-  const std::string line = record_line(index, point);
+bool ResultCache::append(const std::vector<Record>& batch) {
+  std::lock_guard<std::mutex> lk(io_m_);
+  for (const Record& r : batch) {
+    if (r.point) {
+      put_row(r.key, *r.point);
+    } else {
+      put_pruned(r.sweep_fp, r.key, r.mark);
+    }
+  }
+  if (!persist_) return false;
+  std::string bytes;
+  for (const Record& r : batch) bytes += record_line(r);
   for (int attempt = 0; attempt < 2; ++attempt) {
     try {
       fault::inject("journal.append");
-      // One fwrite per record keeps the torn-write window to a single line,
-      // which load() is built to tolerate.
-      if (std::fwrite(line.data(), 1, line.size(), f_) != line.size()) {
-        throw Error("journal record write failed");
+      const std::string out = f_ ? bytes : open_store() + bytes;
+      // One fwrite per batch keeps the torn-write window to the batch's
+      // tail, which every reader tolerates or reports.
+      if (std::fwrite(out.data(), 1, out.size(), f_) != out.size()) {
+        throw Error("point store write failed");
       }
-      fsync_file(f_);
+      flush_and_sync(f_);
       return true;
     } catch (const std::exception&) {
-      std::clearerr(f_);
+      // Reopen on the retry: open_store() drops whatever partial line the
+      // failed write left behind.
+      if (f_) std::fclose(f_);
+      f_ = nullptr;
     }
   }
-  // Persistent I/O failure: stop journaling, keep sweeping.
-  std::fclose(f_);
-  f_ = nullptr;
+  // Persistent I/O failure: stop persisting, keep sweeping.
+  persist_ = false;
   return false;
+}
+
+bool ResultCache::save(const std::string& path) const {
+  std::ostringstream os;
+  os << header_line(scope_);
+  for (const auto& [key, p] : rows_) os << record_line({key, &p, 0, {}});
+  for (const auto& [fpkey, mark] : pruned_) {
+    os << record_line({fpkey.second, nullptr, fpkey.first, mark});
+  }
+  // tmp + rename keeps a reader (or a crashed writer) from ever seeing a
+  // half-written file: either the old one or the complete new one.
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return false;
+    const std::string body = os.str();
+    out.write(body.data(), static_cast<std::streamsize>(body.size()));
+    out.flush();
+    if (!out) {
+      std::remove(tmp.c_str());
+      return false;
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace mcrtl::core

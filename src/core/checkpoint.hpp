@@ -1,133 +1,198 @@
-// Crash-safe exploration journal.
+// The point store: the one on-disk home of evaluated design points.
 //
-// Long design-space sweeps (the paper's Tables 1–4 regime) must survive a
-// kill mid-run: `core::explore()` with `ExplorerConfig::checkpoint_file`
-// set appends one record per *completed* design point to this journal —
-// fsync'd, so a SIGKILL loses at most the point being written — and a
-// re-run with the same configuration replays the journal, skips the
-// completed points and produces reports byte-identical to an uninterrupted
-// run (asserted by tests/test_checkpoint.cpp).
+// Every persisted ExplorationPoint — a checkpoint file (`explore
+// --checkpoint`, the shard files `mcrtl merge` reads), the search result
+// cache (`mcrtl search --cache-db`) and the sweep daemon's cache (`mcrtl
+// serve --cache-db`) — is written and read by ResultCache, in one line
+// format:
 //
-// File format (line-oriented, append-only):
+//   mcrtl-store v1 fp=<16-hex scope>
+//   r <key> <label> <power x9> <area x8> <alu_summary> <stats x6>
+//     <hotspot> <hotspot_share> <crest> <crc>
+//   x <sweep_fp> <key> <rung> <dominated_by> <crc>
 //
-//   mcrtl-journal v1 fp=<16-hex fingerprint>
-//   p <index> <label> <power x7> <area x8> <alu_summary> <stats x5> <crc>
+// A row's key is point_key() = measurement_fingerprint(behaviour) ^
+// config_hash(options), so a row is valid in any sweep that measures the
+// same behaviour the same way. The header's *scope* says which file this
+// is: 0 for a cache DB, sweep_fingerprint() for a checkpoint file — a
+// checkpoint is a cache slice bound to one sweep, and a file scoped to
+// another sweep is stale (JournalMismatchError). `x` lines are the search layer's pruned markers,
+// valid only for the identical search. Doubles are 64-bit IEEE bit
+// patterns (core/record.hpp), so a replayed point is bit-identical to the
+// measured one; every record carries an FNV-1a checksum.
 //
-// The fingerprint hashes everything that determines the measurement: the
-// serialized graph+schedule, the ExplorerConfig knobs that change the
-// enumeration or the stimulus (not `jobs` — resuming on a different thread
-// count is explicitly supported), and the enumerated labels. A journal
-// whose fingerprint differs is *stale* and rejected with
-// JournalMismatchError; a journal truncated mid-record (crash during the
-// final append) is tolerated — parsing stops at the first incomplete or
-// checksum-failing line. Doubles are serialized as 64-bit IEEE bit
-// patterns, so a replayed point is bit-identical to the measured one.
+// Writes are appends: one fwrite + fsync per batch, so a SIGKILL loses at
+// most the batch being written. Reads come in two modes — tolerant (resume,
+// search, the daemon: damaged lines are skipped and counted) and strict
+// (merge: any damage throws).
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/explorer.hpp"
+#include "core/synthesizer.hpp"
 #include "util/error.hpp"
 
 namespace mcrtl::core {
 
-/// Thrown when a journal exists but was written by a different
-/// (graph, schedule, ExplorerConfig) — resuming would silently mix
-/// measurements from two different experiments.
+/// Thrown when a checkpoint file exists but was written by a different
+/// (graph, schedule, ExplorerConfig) — resuming or merging would silently
+/// mix measurements from two different experiments.
 class JournalMismatchError : public Error {
  public:
   explicit JournalMismatchError(const std::string& what) : Error(what) {}
 };
 
-/// Thrown by CheckpointJournal::load_strict() when a journal is
-/// structurally damaged: torn tail, checksum failure, unknown index, label
-/// mismatch, or a duplicate record. Resume tolerates all of these (an
-/// interrupted sweep re-evaluates what it cannot replay); a *merge* must
-/// not — silently dropping a shard's records would produce a report that
-/// looks complete but is missing measurements.
+/// Thrown by a strict load when a file is structurally damaged: no valid
+/// header, a torn tail or a checksum failure — and by merge_shard_journals()
+/// for a record whose key matches no configuration of the sweep. Resume
+/// tolerates all of these (an interrupted sweep re-evaluates what it cannot
+/// replay); a merge must not — silently dropping a shard's records would
+/// produce a report that looks complete but is missing measurements.
 class JournalCorruptError : public Error {
  public:
   explicit JournalCorruptError(const std::string& what) : Error(what) {}
 };
 
+/// Thrown when strict loads meet two records with one key that disagree
+/// (within one file or across files), and when a set of shard files does
+/// not cover the sweep.
+class MergeError : public Error {
+ public:
+  explicit MergeError(const std::string& what) : Error(what) {}
+};
+
 /// Hash of (behaviour, measurement knobs) — the part of a sweep's identity
 /// that is independent of which *other* configurations ride in the same
-/// sweep. The checkpoint fingerprint builds on it; the search layer's
-/// result cache keys each point on measurement_fingerprint ⊕
-/// config_hash(options), which is why a cached row stays valid across
-/// overlapping sweeps.
+/// sweep. Every stored row is keyed on point_key(), which is why a row
+/// stays valid across overlapping sweeps.
 std::uint64_t measurement_fingerprint(const dfg::Graph& graph,
                                       const dfg::Schedule& sched,
                                       std::size_t computations,
                                       std::uint64_t seed, std::size_t streams,
                                       const power::PowerParams& params);
 
-class CheckpointJournal {
- public:
-  /// Hash of everything that determines an exploration's measurements.
-  /// Deliberately excludes `jobs` and the fault-tolerance knobs: they
-  /// change how the sweep is executed, never what it measures.
-  static std::uint64_t fingerprint(const ExplorerConfig& cfg,
-                                   const dfg::Graph& graph,
-                                   const dfg::Schedule& sched);
+/// A stored row's key: one measurement (measurement_fingerprint) of one
+/// configuration, whatever sweep it rode in.
+inline std::uint64_t point_key(std::uint64_t measurement_fp,
+                               const SynthesisOptions& opts) {
+  return measurement_fp ^ config_hash(opts);
+}
 
-  struct LoadResult {
-    /// One slot per enumerated configuration; engaged = replayed.
-    std::vector<std::optional<ExplorationPoint>> points;
-    std::size_t replayed = 0;
+/// Hash of everything that determines an exploration's measurements and
+/// enumeration: the scope of its checkpoint file and the daemon's in-flight
+/// key. Deliberately excludes `jobs`, the shard fields and the
+/// fault-tolerance knobs: they change how the sweep is executed, never what
+/// it measures.
+std::uint64_t sweep_fingerprint(const ExplorerConfig& cfg,
+                                const dfg::Graph& graph,
+                                const dfg::Schedule& sched);
+
+class ResultCache {
+ public:
+  struct PrunedMark {
+    int rung = 0;
+    std::string dominated_by;
   };
 
-  /// Parse the journal at `path` against the expected fingerprint and
-  /// enumeration. A missing or empty file yields an empty result; a
-  /// header with a different fingerprint throws JournalMismatchError;
-  /// trailing truncated/corrupt records are dropped silently.
-  static LoadResult load(
-      const std::string& path, std::uint64_t fp,
-      const std::vector<std::pair<SynthesisOptions, std::string>>& configs);
+  /// One record for append(): a row when `point` is set, else a pruned
+  /// marker (`sweep_fp`, `mark`).
+  struct Record {
+    std::uint64_t key = 0;
+    const ExplorationPoint* point = nullptr;
+    std::uint64_t sweep_fp = 0;
+    PrunedMark mark;
+  };
 
-  /// The merge-side loader: parse the *whole* journal or refuse. Where
-  /// load() silently stops at the first damaged line, load_strict() throws
-  /// — Error when the file cannot be opened, JournalMismatchError on a
-  /// foreign fingerprint, JournalCorruptError on a malformed header, a
-  /// torn tail, a checksum failure, an out-of-range index, a label
-  /// mismatch or a duplicate index. Missing records are NOT an error here:
-  /// per-journal completeness is meaningless for a shard; coverage is
-  /// validated across all journals by merge_shard_journals().
-  static LoadResult load_strict(
-      const std::string& path, std::uint64_t fp,
-      const std::vector<std::pair<SynthesisOptions, std::string>>& configs);
+  ResultCache() = default;
+  ~ResultCache();
+  ResultCache(const ResultCache&) = delete;
+  ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Open `path` for appending. If the file is missing, empty, or carries
-  /// an invalid header, it is created fresh with a new header (fsync'd);
-  /// if it carries a valid header with a different fingerprint,
-  /// JournalMismatchError is thrown. A torn tail left by a crashed append
-  /// is truncated to the last complete line first, so records appended by
-  /// the resumed run never concatenate onto a partial one.
-  CheckpointJournal(const std::string& path, std::uint64_t fp);
-  ~CheckpointJournal();
+  /// Tolerant load of the cache DB (scope 0) at `path` into this cache
+  /// (later records win). A missing file is a no-op; a foreign or old
+  /// header reads as empty and counts as one bad line. Returns the number
+  /// of malformed lines skipped.
+  std::size_t load(const std::string& path);
 
-  CheckpointJournal(const CheckpointJournal&) = delete;
-  CheckpointJournal& operator=(const CheckpointJournal&) = delete;
+  /// What a load read and did.
+  struct LoadStats {
+    std::size_t records = 0;     ///< well-formed records read
+    std::size_t bad_lines = 0;   ///< corrupt lines dropped (tolerant loads)
+    /// Records whose key was already held: shadowed by the later line
+    /// (tolerant) or agreeing overlap (strict).
+    std::size_t superseded = 0;
+    bool rewritten = false;      ///< load_and_compact() rewrote the file
+  };
 
-  /// Append one completed point (thread-safe; one fwrite + fsync per call).
-  /// An I/O failure (or an injected `journal.append` fault) is retried
-  /// once; if it persists, journaling is disabled for the rest of the run
-  /// and append returns false — a broken disk must degrade the checkpoint,
-  /// never kill the sweep.
-  bool append(std::size_t index, const ExplorationPoint& point);
+  /// Open `path` as this cache's store: a tolerant load at `scope` (0 = a
+  /// cache DB, a sweep fingerprint = a checkpoint file), after which
+  /// append() writes to `path`. A file carrying another non-foreign scope
+  /// throws JournalMismatchError. A file with superseded duplicates or
+  /// corrupt lines is rewritten in place (atomic save) with exactly the
+  /// records the load kept; a clean file is left untouched byte-for-byte,
+  /// and so is a file that yielded no record at all (an all-corrupt or
+  /// foreign file is worth more as evidence than as an empty DB — the first
+  /// append replaces it). The path stays bound even if the load throws, so
+  /// a caller that degrades an unreadable file to a fresh run still
+  /// persists. Carries the `journal.load` fault site.
+  LoadStats load_and_compact(const std::string& path,
+                             std::uint64_t scope = 0);
 
-  /// Still writing? (false after the constructor failed to open the file
-  /// or append gave up.)
-  bool ok() const;
+  /// Strict load of `path` at `scope` into this cache — parse the whole
+  /// file or throw: Error when it cannot be opened, JournalMismatchError on
+  /// another scope, JournalCorruptError on a missing or malformed header, a
+  /// torn tail or a malformed/checksum-failing line, MergeError when a
+  /// record disagrees with one this cache already holds under its key (from
+  /// this file or an earlier one). Agreeing duplicates are counted as
+  /// superseded.
+  LoadStats load_strict(const std::string& path, std::uint64_t scope);
+
+  const ExplorationPoint* find_row(std::uint64_t key) const;
+  const PrunedMark* find_pruned(std::uint64_t sweep_fp,
+                                std::uint64_t key) const;
+
+  void put_row(std::uint64_t key, const ExplorationPoint& p);
+  void put_pruned(std::uint64_t sweep_fp, std::uint64_t key,
+                  const PrunedMark& mark);
+
+  /// Put `batch` into this cache and append it to the bound store in one
+  /// fwrite + fsync. Thread-safe against concurrent append() calls (not
+  /// against concurrent readers). A missing, empty or foreign file is
+  /// created fresh with a header first; a torn tail is truncated to the
+  /// last complete line, so the batch never concatenates onto a partial
+  /// record. An empty batch only makes sure the file exists. An I/O
+  /// failure (or an injected `journal.append` fault) is retried once; if it
+  /// persists, persistence is disabled for the rest of this cache's life
+  /// and append returns false — a broken disk degrades the store, never
+  /// the sweep. Also false when no store is bound.
+  bool append(const std::vector<Record>& batch);
+
+  /// Rewrite `path` atomically (tmp + rename) with every record this cache
+  /// holds, in sorted key order, under this cache's scope. Returns false on
+  /// I/O failure.
+  bool save(const std::string& path) const;
+
+  std::size_t num_rows() const { return rows_.size(); }
+  std::size_t num_pruned() const { return pruned_.size(); }
 
  private:
-  mutable std::mutex m_;
+  LoadStats read(const std::string& path, std::uint64_t scope, bool strict);
+  std::string open_store();
+
+  std::map<std::uint64_t, ExplorationPoint> rows_;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, PrunedMark> pruned_;
+  std::uint64_t scope_ = 0;
+
+  std::mutex io_m_;
+  std::string path_;     ///< bound store ("" = none)
+  bool persist_ = false; ///< bound and not disabled by a failure
   std::FILE* f_ = nullptr;
 };
 

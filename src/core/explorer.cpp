@@ -157,37 +157,46 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
   // for any thread count.
   const auto configs = enumerate_configurations(cfg);
 
-  // Checkpoint replay: restore journalled points into their slots before
-  // anything is scheduled. A stale journal (different configuration) is a
-  // hard error; an unreadable one degrades to a fresh sweep.
+  // Checkpoint replay: restore stored points into their slots before
+  // anything is scheduled. The checkpoint file is a point store scoped to
+  // this sweep, and a slot replays iff its key (measurement fingerprint ^
+  // config hash) is stored; label and options come from the enumeration. A
+  // stale file (another sweep's scope) is a hard error; an unreadable one
+  // degrades to a fresh sweep.
   std::vector<std::optional<ExplorationPoint>> replayed(configs.size());
-  std::unique_ptr<CheckpointJournal> journal;
+  std::vector<std::uint64_t> key(configs.size());
+  ResultCache store;
+  const bool checkpointing = !cfg.checkpoint_file.empty();
   std::size_t replayed_count = 0;
-  if (!cfg.checkpoint_file.empty()) {
-    const std::uint64_t fp = CheckpointJournal::fingerprint(cfg, graph, sched);
-    {
-      obs::Span replay_span("explore.journal.replay");
-      try {
-        auto loaded = CheckpointJournal::load(cfg.checkpoint_file, fp, configs);
-        replayed = std::move(loaded.points);
-        // A shard only credits (and uses) records for slots it owns. Shard
-        // fields are execution knobs outside the fingerprint, so a journal
-        // from a different shard of the same sweep *matches* — its foreign
-        // records are simply ignored rather than smuggled into this slice.
-        for (std::size_t i = 0; i < replayed.size(); ++i) {
-          if (!shard_owns(cfg, i)) {
-            replayed[i].reset();
-          } else if (replayed[i]) {
-            ++replayed_count;
-          }
-        }
-      } catch (const JournalMismatchError&) {
-        throw;
-      } catch (const std::exception&) {
-        obs::count("explore.journal.errors");
-      }
+  if (checkpointing) {
+    obs::Span replay_span("explore.journal.replay");
+    const std::uint64_t mfp =
+        measurement_fingerprint(graph, sched, cfg.computations, cfg.seed,
+                                cfg.streams, cfg.power_params);
+    try {
+      store.load_and_compact(cfg.checkpoint_file,
+                             sweep_fingerprint(cfg, graph, sched));
+    } catch (const JournalMismatchError&) {
+      throw;
+    } catch (const std::exception&) {
+      obs::count("explore.journal.errors");
     }
-    journal = std::make_unique<CheckpointJournal>(cfg.checkpoint_file, fp);
+    // A shard only replays slots it owns. Shard fields are execution knobs
+    // outside the scope, so a file from a different shard of the same
+    // sweep *matches* — its foreign records are simply ignored rather than
+    // smuggled into this slice.
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      key[i] = point_key(mfp, configs[i].first);
+      const ExplorationPoint* hit = store.find_row(key[i]);
+      if (!hit || !shard_owns(cfg, i)) continue;
+      replayed[i] = *hit;
+      replayed[i]->options = configs[i].first;
+      replayed[i]->label = configs[i].second;
+      ++replayed_count;
+    }
+    // Make sure the file exists with this sweep's header even if nothing
+    // is appended (an empty shard's file still merges).
+    if (!store.append({})) obs::count("explore.journal.errors");
     if (replayed_count > 0) {
       obs::count("explore.journal.replayed", replayed_count);
     }
@@ -340,8 +349,18 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     result.points[i] = std::move(p);
   };
 
+  // Append a completed slot to the checkpoint file (one fsync'd record).
+  auto persist = [&](std::size_t i) {
+    if (!checkpointing) return;
+    if (store.append({{key[i], &result.points[i], 0, {}}})) {
+      obs::count("explore.journal.appended");
+    } else {
+      obs::count("explore.journal.errors");
+    }
+  };
+
   // One slot, end to end: replay or evaluate with the retry/backoff loop,
-  // then journal and report. Only on_point exceptions (caller code) and —
+  // then persist and report. Only on_point exceptions (caller code) and —
   // with quarantine off — exhausted evaluation failures escape.
   auto run_point = [&](std::size_t i) {
     if (replayed[i]) {
@@ -375,21 +394,16 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
       }
     }
     done[i] = 1;
-    if (journal) {
-      if (journal->append(i, result.points[i])) {
-        obs::count("explore.journal.appended");
-      } else {
-        obs::count("explore.journal.errors");
-      }
-    }
+    persist(i);
     if (cfg.on_point) cfg.on_point(result.points[i]);
   };
 
   // Fan a canonical slot's measurement out to a duplicate slot: same
   // numbers under the duplicate's own label/options. Runs after every
   // canonical slot settled (evaluation, replay or quarantine), in
-  // enumeration order — deterministic for any jobs value. A journalled
-  // duplicate replays like any other slot; only genuine fan-outs count as
+  // enumeration order — deterministic for any jobs value. A duplicate
+  // shares its canonical's store key, so it replays whenever the canonical
+  // does and is never appended itself; only genuine fan-outs count as
   // explore.deduped.
   auto fill_duplicate = [&](std::size_t i) {
     const std::size_t c = canonical[i];
@@ -415,13 +429,6 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     result.points[i] = std::move(p);
     done[i] = 1;
     obs::count("explore.deduped");
-    if (journal) {
-      if (journal->append(i, result.points[i])) {
-        obs::count("explore.journal.appended");
-      } else {
-        obs::count("explore.journal.errors");
-      }
-    }
     if (cfg.on_point) cfg.on_point(result.points[i]);
   };
 

@@ -106,13 +106,13 @@ struct ExplorerConfig {
   std::function<void(const ExplorationPoint&)> on_point;
 
   // ---- crash safety / fault isolation (see DESIGN.md §9) -------------------
-  /// Append-only checkpoint journal (core/checkpoint.hpp). Empty =
-  /// disabled. When set, completed points are journalled (fsync'd) as they
-  /// finish, and a re-run with the same configuration replays them instead
-  /// of re-evaluating — the resumed result is byte-identical to an
-  /// uninterrupted run. A journal written by a *different* configuration
-  /// throws JournalMismatchError; an unreadable journal degrades to a
-  /// fresh sweep.
+  /// Checkpoint file: a point store scoped to this sweep
+  /// (core/checkpoint.hpp). Empty = disabled. When set, completed points
+  /// are appended (fsync'd) as they finish, and a re-run with the same
+  /// configuration replays them instead of re-evaluating — the resumed
+  /// result is byte-identical to an uninterrupted run. A file scoped to a
+  /// *different* configuration throws JournalMismatchError; an unreadable
+  /// one degrades to a fresh sweep.
   std::string checkpoint_file;
   /// Extra evaluation attempts after a failed one (0 = fail on first
   /// error). Retries target transient faults; a deterministic failure will

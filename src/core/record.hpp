@@ -1,10 +1,9 @@
 // Shared on-disk codec for evaluated design points.
 //
-// The checkpoint journal (core/checkpoint.cpp) and the search result cache
-// (core/search.cpp) both persist ExplorationPoint measurements as
-// line-oriented, whitespace-tokenized, CRC-guarded records. This header is
-// the single definition of that token encoding so the two files can never
-// drift apart:
+// The point store (core/checkpoint.cpp) persists ExplorationPoint
+// measurements as line-oriented, whitespace-tokenized, CRC-guarded
+// records, and merge and the tests compare points through the same
+// encoding. This header is the single definition of that token encoding:
 //
 //  * strings are "s:"-prefixed with %XX escapes for anything outside
 //    printable ASCII (so a token never contains a space);

@@ -1,17 +1,11 @@
 #include "core/search.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
-#include <fstream>
 #include <sstream>
 #include <unordered_set>
 
-#include "core/checkpoint.hpp"
 #include "core/record.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
@@ -25,15 +19,12 @@ namespace mcrtl::core {
 
 namespace {
 
-using record::encode_str;
 using record::encode_u64;
 using record::fnv1a64;
 
 /// Floor on a rung's prefix length: below this the toggle statistics are
 /// too thin to rank anything.
 constexpr std::size_t kMinPrefixComputations = 8;
-
-constexpr const char* kCacheMagic = "mcrtl-cache v1";
 
 std::string csv_escape(const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) return s;
@@ -63,15 +54,6 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
-}
-
-bool parse_int(const std::string& tok, int& out) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(tok.c_str(), &end, 10);
-  if (errno != 0 || end == tok.c_str() || *end != '\0') return false;
-  out = static_cast<int>(v);
-  return true;
 }
 
 }  // namespace
@@ -175,169 +157,6 @@ ParetoFront ParetoFront::compute(const std::vector<SearchRow>& rows) {
   return annotate_front(copy);
 }
 
-// ---- result cache -----------------------------------------------------------
-
-std::size_t ResultCache::load(const std::string& path) {
-  last_superseded_ = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 0;
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  std::size_t bad = 0;
-  std::size_t pos = 0;
-  bool saw_header = false;
-  while (pos < content.size()) {
-    std::size_t nl = content.find('\n', pos);
-    // A torn final line (crash mid-save before the rename) still carries a
-    // checksum if it is complete in substance; parse it like any other.
-    if (nl == std::string::npos) nl = content.size();
-    const std::string line = content.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (!saw_header) {
-      saw_header = true;
-      if (line != kCacheMagic) {
-        // Foreign or damaged header: nothing in this file can be trusted,
-        // but the search must not die over a cache — treat as empty.
-        return 1;
-      }
-      continue;
-    }
-    if (line.empty()) continue;
-    const bool is_row = line.rfind("r ", 0) == 0;
-    const bool is_mark = line.rfind("x ", 0) == 0;
-    if (!is_row && !is_mark) {
-      ++bad;
-      continue;
-    }
-    const std::size_t crc_sep = line.rfind(' ');
-    if (crc_sep == std::string::npos || crc_sep < 2) {
-      ++bad;
-      continue;
-    }
-    const std::string payload = line.substr(2, crc_sep - 2);
-    std::uint64_t crc = 0;
-    if (!record::decode_u64(line.substr(crc_sep + 1), crc) ||
-        crc != fnv1a64(payload)) {
-      ++bad;
-      continue;
-    }
-    const auto toks = record::split_tokens(payload);
-    if (is_row) {
-      std::uint64_t key = 0;
-      ExplorationPoint p;
-      if (toks.size() != 1 + record::kPointTokens ||
-          !record::decode_u64(toks[0], key) ||
-          !record::decode_point_fields(toks, 1, p)) {
-        ++bad;
-        continue;
-      }
-      if (rows_.count(key)) ++last_superseded_;
-      rows_[key] = std::move(p);
-    } else {
-      std::uint64_t fp = 0, key = 0;
-      PrunedMark mark;
-      if (toks.size() != 4 || !record::decode_u64(toks[0], fp) ||
-          !record::decode_u64(toks[1], key) || !parse_int(toks[2], mark.rung) ||
-          !record::decode_str(toks[3], mark.dominated_by)) {
-        ++bad;
-        continue;
-      }
-      if (pruned_.count({fp, key})) ++last_superseded_;
-      pruned_[{fp, key}] = std::move(mark);
-    }
-  }
-  return bad;
-}
-
-ResultCache::CompactStats ResultCache::load_and_compact(
-    const std::string& path, std::size_t max_rows, std::size_t max_pruned) {
-  CompactStats st;
-  // Parse into a scratch cache so the duplicate count reflects the file
-  // alone, not records this cache already held.
-  ResultCache scratch;
-  st.bad_lines = scratch.load(path);
-  st.superseded = scratch.last_superseded_;
-  if (max_rows > 0) {
-    while (scratch.rows_.size() > max_rows) {
-      scratch.rows_.erase(std::prev(scratch.rows_.end()));
-      ++st.evicted_rows;
-    }
-  }
-  if (max_pruned > 0) {
-    while (scratch.pruned_.size() > max_pruned) {
-      scratch.pruned_.erase(std::prev(scratch.pruned_.end()));
-      ++st.evicted_marks;
-    }
-  }
-  const bool dirty =
-      st.bad_lines > 0 || st.superseded > 0 || st.evicted_rows > 0 ||
-      st.evicted_marks > 0;
-  // Never rewrite a file we parsed zero records from: an all-corrupt (or
-  // foreign) file is worth more to the user as evidence than as an empty
-  // fresh DB.
-  if (dirty && scratch.rows_.size() + scratch.pruned_.size() > 0) {
-    st.rewritten = scratch.save(path);
-  }
-  for (auto& [key, p] : scratch.rows_) rows_[key] = std::move(p);
-  for (auto& [key, m] : scratch.pruned_) pruned_[key] = std::move(m);
-  return st;
-}
-
-const ExplorationPoint* ResultCache::find_row(std::uint64_t key) const {
-  const auto it = rows_.find(key);
-  return it == rows_.end() ? nullptr : &it->second;
-}
-
-const ResultCache::PrunedMark* ResultCache::find_pruned(
-    std::uint64_t sweep_fp, std::uint64_t key) const {
-  const auto it = pruned_.find({sweep_fp, key});
-  return it == pruned_.end() ? nullptr : &it->second;
-}
-
-void ResultCache::put_row(std::uint64_t key, const ExplorationPoint& p) {
-  rows_[key] = p;
-}
-
-void ResultCache::put_pruned(std::uint64_t sweep_fp, std::uint64_t key,
-                             const PrunedMark& mark) {
-  pruned_[{sweep_fp, key}] = mark;
-}
-
-bool ResultCache::save(const std::string& path) const {
-  std::ostringstream os;
-  os << kCacheMagic << '\n';
-  for (const auto& [key, p] : rows_) {
-    const std::string payload =
-        encode_u64(key) + ' ' + record::encode_point_fields(p);
-    os << "r " << payload << ' ' << encode_u64(fnv1a64(payload)) << '\n';
-  }
-  for (const auto& [fpkey, mark] : pruned_) {
-    const std::string payload =
-        encode_u64(fpkey.first) + ' ' + encode_u64(fpkey.second) + ' ' +
-        std::to_string(mark.rung) + ' ' + encode_str(mark.dominated_by);
-    os << "x " << payload << ' ' << encode_u64(fnv1a64(payload)) << '\n';
-  }
-  // tmp + rename keeps a reader (or a crashed writer) from ever seeing a
-  // half-written DB: either the old file or the complete new one.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    const std::string body = os.str();
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
 // ---- the search -------------------------------------------------------------
 
 SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
@@ -419,8 +238,8 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
   {
     std::unordered_map<std::uint64_t, std::size_t> first;
     for (std::size_t i = 0; i < nc; ++i) {
-      key[i] = bfp[space.candidates[i].behaviour] ^
-               config_hash(space.candidates[i].options);
+      key[i] = point_key(bfp[space.candidates[i].behaviour],
+                         space.candidates[i].options);
       canonical[i] = first.emplace(key[i], i).first->second;
     }
   }
@@ -703,17 +522,22 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
   }
 
   // ---- write-back, assembly, annotation ------------------------------------
+  // Append only what this run learned, in one batch: a fully cached replay
+  // leaves the DB untouched.
   if (use_cache) {
+    std::vector<ResultCache::Record> fresh;
     for (std::size_t i = 0; i < nc; ++i) {
       if (canonical[i] != i) continue;
       if (state[i] == St::Row && !row_from_cache[i]) {
-        cache.put_row(key[i], row[i]);
+        fresh.push_back({key[i], &row[i], 0, {}});
       } else if (state[i] == St::Pruned && !pruned_from_cache[i]) {
-        cache.put_pruned(sweep_fp, key[i], pmark[i]);
+        fresh.push_back({key[i], nullptr, sweep_fp, pmark[i]});
       }
     }
-    obs::Span save_span("search.cache.save");
-    if (!cache.save(cfg.cache_db)) obs::count("search.cache.save_errors");
+    if (!fresh.empty()) {
+      obs::Span save_span("search.cache.save");
+      if (!cache.append(fresh)) obs::count("search.cache.save_errors");
+    }
   }
 
   std::vector<std::pair<std::size_t, SearchRow>> assembled;

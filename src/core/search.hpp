@@ -38,13 +38,15 @@
 //     so every reported row went through exactly the exhaustive pipeline —
 //     equivalence check, Monte-Carlo streams, attribution — and is
 //     bit-identical to the row an exhaustive sweep would report.
-//  4. **Result cache.** With `cache_db` set, full rows are persisted keyed
-//     by measurement_fingerprint(behaviour) ^ config_hash(options) — valid
+//  4. **Result cache.** With `cache_db` set, the search reads and appends
+//     a point store (ResultCache, core/checkpoint.hpp): full rows keyed by
+//     measurement_fingerprint(behaviour) ^ config_hash(options) — valid
 //     across sweeps, so overlapping grids reuse each other's work — and
-//     pruned candidates are persisted as markers keyed by the whole-sweep
-//     fingerprint (a pruning decision depends on the entire grid, so it is
-//     only replayable for the identical search). A repeated search is
-//     100% cache hits and simulates nothing.
+//     pruned candidates as markers keyed by the whole-sweep fingerprint (a
+//     pruning decision depends on the entire grid, so it is only
+//     replayable for the identical search). Only new records are
+//     appended, once, at the end: a repeated search is 100% cache hits,
+//     simulates nothing and writes nothing.
 //
 // Determinism contract: prefix measurements are written into slots indexed
 // by candidate order and every promote/abort decision happens at a rung
@@ -54,12 +56,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/explorer.hpp"
 
 namespace mcrtl::core {
@@ -133,9 +135,11 @@ struct SearchConfig {
   double optimism = 0.85;
   /// Never abort a dominance group below this many surviving candidates.
   std::size_t min_survivors = 4;
-  /// Persistent result-cache DB (empty = no cache). Missing file = cold
-  /// cache; corrupt lines are skipped (obs counter
-  /// `search.cache.bad_lines`), never fatal.
+  /// Persistent result-cache DB, a point store of scope 0 (empty = no
+  /// cache). Missing or foreign file = cold cache; corrupt lines are
+  /// skipped (obs counter `search.cache.bad_lines`), never fatal; a
+  /// checkpoint file (scoped to a sweep) is refused with
+  /// JournalMismatchError rather than overwritten.
   std::string cache_db;
 };
 
@@ -193,68 +197,6 @@ struct ParetoFront {
 /// dominance). `rows` may be in any order; annotation is
 /// order-independent. Returns the front.
 ParetoFront annotate_front(std::vector<SearchRow>& rows);
-
-/// Persistent search result cache ("mcrtl-cache v1"): a line-oriented DB
-/// of full-row records (`r <key> <point fields> <crc>`, valid across
-/// sweeps) and pruned markers (`x <sweep_fp> <key> <rung> <by> <crc>`,
-/// valid only for the identical sweep). Tolerant of damage anywhere in the
-/// file — a bad line is skipped and counted, never trusted.
-class ResultCache {
- public:
-  struct PrunedMark {
-    int rung = 0;
-    std::string dominated_by;
-  };
-
-  /// Merge the DB at `path` into this cache (later records win). Missing
-  /// file = no-op. Returns the number of malformed lines skipped.
-  std::size_t load(const std::string& path);
-
-  /// What load_and_compact() found and did.
-  struct CompactStats {
-    std::size_t bad_lines = 0;      ///< corrupt lines dropped
-    std::size_t superseded = 0;     ///< records shadowed by a later same-key line
-    std::size_t evicted_rows = 0;   ///< rows dropped to satisfy max_rows
-    std::size_t evicted_marks = 0;  ///< pruned markers dropped for max_pruned
-    bool rewritten = false;         ///< the on-disk DB was rewritten
-  };
-
-  /// load() plus housekeeping: a DB that has accumulated superseded
-  /// duplicates (append-heavy histories), corrupt lines, or more records
-  /// than the caller wants to carry (`max_rows` / `max_pruned`, 0 = no
-  /// bound; eviction drops the numerically largest keys — deterministic,
-  /// and keys are hashes so "largest" is an unbiased victim) is rewritten
-  /// in place (atomic save) so it never grows without bound. A clean,
-  /// in-bounds DB is left untouched byte-for-byte. The surviving records
-  /// are exactly what load() would have yielded, so a compacted DB replays
-  /// identically (asserted by tests/test_search.cpp).
-  CompactStats load_and_compact(const std::string& path,
-                                std::size_t max_rows = 0,
-                                std::size_t max_pruned = 0);
-
-  const ExplorationPoint* find_row(std::uint64_t key) const;
-  const PrunedMark* find_pruned(std::uint64_t sweep_fp,
-                                std::uint64_t key) const;
-
-  void put_row(std::uint64_t key, const ExplorationPoint& p);
-  void put_pruned(std::uint64_t sweep_fp, std::uint64_t key,
-                  const PrunedMark& mark);
-
-  /// Rewrite `path` atomically (tmp + rename) with every record this cache
-  /// holds, in sorted key order. Returns false on I/O failure (the search
-  /// result is unaffected — a broken disk degrades the cache, never the
-  /// sweep).
-  bool save(const std::string& path) const;
-
-  std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_pruned() const { return pruned_.size(); }
-
- private:
-  std::map<std::uint64_t, ExplorationPoint> rows_;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, PrunedMark> pruned_;
-  /// Within-call duplicate-key count of the most recent load().
-  std::size_t last_superseded_ = 0;
-};
 
 /// Run the guided search over `space`. Throws on evaluation failure (the
 /// earliest failing candidate in enumeration order, like explore()).

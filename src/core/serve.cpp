@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "core/search.hpp"
 #include "core/shard.hpp"
 #include "core/synthesizer.hpp"
 #include "obs/obs.hpp"
@@ -18,11 +17,6 @@
 #include "util/fault_injection.hpp"
 #include "util/net.hpp"
 #include "util/strings.hpp"
-#include "util/subprocess.hpp"
-
-#ifndef _WIN32
-#include <sys/stat.h>
-#endif
 
 namespace mcrtl::core {
 
@@ -150,7 +144,6 @@ struct ServeImpl {
 
   std::mutex cache_m;
   ResultCache cache;
-  bool cache_dirty = false;
 
   std::mutex inflight_m;
   std::unordered_map<std::uint64_t, std::shared_ptr<Inflight>> inflight;
@@ -163,9 +156,9 @@ struct ServeImpl {
     st.*field += by;
   }
 
-  /// The ExplorerConfig a request describes (unsharded; jobs from server
-  /// config). Shared by the fingerprint, the in-process path and the
-  /// shard-merge path, so all three agree on the sweep's identity.
+  /// The ExplorerConfig a request describes (jobs from the server config).
+  /// Shared by the fingerprint and the computation, so both agree on the
+  /// sweep's identity.
   ExplorerConfig explorer_config(const SweepRequest& req) const {
     ExplorerConfig ec;
     ec.max_clocks = req.clocks;
@@ -192,7 +185,7 @@ struct ServeImpl {
     std::vector<ExplorationPoint> points;
     points.reserve(configs.size());
     for (const auto& [opts, label] : configs) {
-      const ExplorationPoint* hit = cache.find_row(mfp ^ config_hash(opts));
+      const ExplorationPoint* hit = cache.find_row(point_key(mfp, opts));
       if (!hit) return false;
       ExplorationPoint p = *hit;
       p.options = opts;
@@ -206,68 +199,25 @@ struct ServeImpl {
     return true;
   }
 
+  /// Put a computed sweep's rows into the cache and, with a cache DB,
+  /// append them in one fsync'd batch before the reply goes out (a failing
+  /// disk stops persistence, never the daemon).
   void store_points(const SweepRequest& req, const dfg::Graph& graph,
                     const dfg::Schedule& sched, const ExplorationResult& r) {
     const std::uint64_t mfp = measurement_fingerprint(
         graph, sched, req.computations, req.seed, req.streams,
         ExplorerConfig{}.power_params);
-    std::lock_guard<std::mutex> lk(cache_m);
+    std::vector<ResultCache::Record> batch;
+    batch.reserve(r.points.size());
     for (const auto& p : r.points) {
-      cache.put_row(mfp ^ config_hash(p.options), p);
+      batch.push_back({point_key(mfp, p.options), &p, 0, {}});
     }
-    cache_dirty = true;
-    if (!cfg->cache_db.empty()) {
-      if (cache.save(cfg->cache_db)) cache_dirty = false;
-    }
-  }
-
-  /// Run the sweep via K shard worker processes and merge their journals.
-  ExplorationResult compute_sharded(const SweepRequest& req,
-                                    const dfg::Graph& graph,
-                                    const dfg::Schedule& sched,
-                                    const ExplorerConfig& ec,
-                                    std::uint64_t fp) {
-    const std::string dir =
-        cfg->work_dir.empty() ? cfg->socket_path + ".work" : cfg->work_dir;
-#ifndef _WIN32
-    ::mkdir(dir.c_str(), 0755);  // EEXIST is fine; a real failure surfaces
-                                 // as the workers' exit codes below
-#endif
-    const std::string base =
-        dir + "/sweep-" + str_format("%016llx",
-                                     static_cast<unsigned long long>(fp));
-    std::vector<std::string> journals;
-    std::vector<std::vector<std::string>> argvs;
-    for (int k = 0; k < cfg->shards; ++k) {
-      const std::string journal =
-          base + str_format("-shard%dof%d.journal", k + 1, cfg->shards);
-      journals.push_back(journal);
-      argvs.push_back({cfg->cli_path, "explore", req.benchmark, "--width",
-                       std::to_string(req.width), "--clocks",
-                       std::to_string(req.clocks), "--computations",
-                       std::to_string(req.computations), "--seed",
-                       std::to_string(req.seed), "--streams",
-                       std::to_string(req.streams), "--jobs",
-                       std::to_string(cfg->jobs), "--no-quarantine",
-                       "--shard",
-                       std::to_string(k + 1) + "/" +
-                           std::to_string(cfg->shards),
-                       "--checkpoint", journal});
-      if (req.dff) argvs.back().insert(argvs.back().begin() + 3, "--dff");
-    }
-    const auto codes = proc::run_all(argvs, /*quiet=*/true);
-    for (std::size_t k = 0; k < codes.size(); ++k) {
-      if (codes[k] != 0) {
-        throw Error("shard worker " + std::to_string(k + 1) + "/" +
-                    std::to_string(cfg->shards) + " exited with code " +
-                    std::to_string(codes[k]));
-      }
-    }
-    return merge_shard_journals(graph, sched, ec, journals);
+    std::lock_guard<std::mutex> lk(cache_m);
+    cache.append(batch);
   }
 
   /// Compute (or cache-assemble) one sweep and render its CSV.
-  void run_sweep(const SweepRequest& req, std::uint64_t fp, Inflight& slot,
+  void run_sweep(const SweepRequest& req, Inflight& slot,
                  bool& computed, std::size_t& cached, std::size_t& total) {
     auto bench = suite::by_name(req.benchmark, req.width);
     const ExplorerConfig ec = explorer_config(req);
@@ -280,11 +230,7 @@ struct ServeImpl {
       bump(&SweepServer::Stats::cache_point_hits, total);
     } else {
       computed = true;
-      if (cfg->shards > 1 && !cfg->cli_path.empty()) {
-        r = compute_sharded(req, *bench.graph, *bench.schedule, ec, fp);
-      } else {
-        r = explore(*bench.graph, *bench.schedule, ec);
-      }
+      r = explore(*bench.graph, *bench.schedule, ec);
       store_points(req, *bench.graph, *bench.schedule, r);
       bump(&SweepServer::Stats::sweeps_computed);
     }
@@ -295,11 +241,11 @@ struct ServeImpl {
   }
 
   void handle_sweep(net::UnixConn& conn, const SweepRequest& req) {
-    // Sweep identity: the same fingerprint the checkpoint journal uses —
+    // Sweep identity: the scope a checkpoint file of this sweep carries —
     // everything that determines the measurements, nothing about execution.
     auto bench = suite::by_name(req.benchmark, req.width);
-    const std::uint64_t fp = CheckpointJournal::fingerprint(
-        explorer_config(req), *bench.graph, *bench.schedule);
+    const std::uint64_t fp = sweep_fingerprint(explorer_config(req),
+                                               *bench.graph, *bench.schedule);
 
     std::shared_ptr<Inflight> slot;
     bool owner = false;
@@ -320,7 +266,7 @@ struct ServeImpl {
     std::size_t total = 0;
     if (owner) {
       try {
-        run_sweep(req, fp, *slot, computed, cached, total);
+        run_sweep(req, *slot, computed, cached, total);
       } catch (const std::exception& e) {
         std::lock_guard<std::mutex> lk(slot->m);
         slot->failed = true;
@@ -373,8 +319,10 @@ struct ServeImpl {
         return;
       }
       if (req.verb == "shutdown") {
-        conn.send_all("ok bye\n");
+        // Stop first, then acknowledge: a client that reads "ok bye" must
+        // find the stop already requested.
         server->request_stop();
+        conn.send_all("ok bye\n");
         return;
       }
       bump(&SweepServer::Stats::requests);
@@ -447,10 +395,6 @@ void SweepServer::stop() {
     if (t.joinable()) t.join();
   }
   if (impl_->listener) impl_->listener->close();
-  std::lock_guard<std::mutex> lk(impl_->cache_m);
-  if (impl_->cache_dirty && !cfg_.cache_db.empty()) {
-    if (impl_->cache.save(cfg_.cache_db)) impl_->cache_dirty = false;
-  }
 }
 
 SweepServer::Stats SweepServer::stats() const {

@@ -7,11 +7,13 @@
 //
 //  * in-flight: concurrent requests for the same sweep fingerprint join
 //    one computation (a condvar-shared slot) — N clients, one sweep;
-//  * completed: every evaluated point lands in a ResultCache (the search
-//    layer's point store, keyed measurement_fingerprint ⊕ config_hash),
-//    so any later sweep whose points are all cached is assembled without
-//    simulating anything — including sweeps that only *overlap* earlier
-//    ones. With Config::cache_db the store persists across restarts.
+//  * completed: every evaluated point lands in a ResultCache (the point
+//    store, keyed measurement_fingerprint ⊕ config_hash), so any later
+//    sweep whose points are all cached is assembled without simulating
+//    anything — including sweeps that only *overlap* earlier ones. With
+//    Config::cache_db each computed sweep's rows are appended (fsync'd)
+//    to the DB before the reply, so the store survives restarts and
+//    crashes alike.
 //
 // Wire protocol ("mcrtl-serve v1", line-oriented, one request per
 // connection):
@@ -29,7 +31,7 @@
 // A malformed, unknown or oversized request gets `err` and the connection
 // is closed; the daemon itself never dies on client input.
 //
-// POSIX-only (unix sockets + fork/exec); construction throws on _WIN32.
+// POSIX-only (unix sockets); construction throws on _WIN32.
 #pragma once
 
 #include <atomic>
@@ -84,16 +86,7 @@ class SweepServer {
     std::string socket_path;
     /// Optional persistent ResultCache DB; empty = in-memory only.
     std::string cache_db;
-    /// Scratch directory for shard journals (subprocess mode). Empty =
-    /// alongside the socket.
-    std::string work_dir;
-    /// Path to the mcrtl CLI binary. Non-empty + shards > 1 fans each
-    /// computed sweep out to `shards` worker processes (`mcrtl explore
-    /// --shard k/N`) and merges their journals; empty computes in-process
-    /// (the mode sanitizer tests run — fork is off the table under TSan).
-    std::string cli_path;
-    int shards = 0;
-    /// Worker threads per computation (in-process) or per shard process.
+    /// Worker threads per computation.
     int jobs = 1;
     /// Per-connection receive timeout.
     double client_timeout_s = 30.0;
@@ -125,7 +118,7 @@ class SweepServer {
   /// Block until request_stop() (the CLI daemon's main-thread park).
   void wait_until_stopped();
   /// Drain: stop accepting, join every connection handler (in-flight
-  /// requests complete and are answered), persist the cache. Idempotent.
+  /// requests complete and are answered). Idempotent.
   void stop();
 
   Stats stats() const;

@@ -2,9 +2,8 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <unordered_set>
 
-#include "core/checkpoint.hpp"
-#include "core/record.hpp"
 #include "obs/obs.hpp"
 #include "util/fault_injection.hpp"
 
@@ -46,52 +45,55 @@ ExplorationResult merge_shard_journals(
   if (journal_paths.empty()) {
     throw MergeError("no shard journals to merge");
   }
-  // Fingerprint of the *unsharded* sweep; every shard journal must carry
-  // it. (Shard fields are execution knobs outside the fingerprint, so any
+  // Scope of the *unsharded* sweep; every shard file must carry it. (Shard
+  // fields are execution knobs outside the fingerprint, so any
   // ExplorerConfig shard fields on `cfg` are irrelevant here — explore()
-  // computed the same fingerprint in every worker.)
-  const std::uint64_t fp = CheckpointJournal::fingerprint(cfg, graph, sched);
+  // computed the same scope in every worker.)
+  const std::uint64_t scope = sweep_fingerprint(cfg, graph, sched);
+  const std::uint64_t mfp =
+      measurement_fingerprint(graph, sched, cfg.computations, cfg.seed,
+                              cfg.streams, cfg.power_params);
   const auto configs = enumerate_configurations(cfg);
+  std::unordered_set<std::uint64_t> keys;
+  for (const auto& c : configs) keys.insert(point_key(mfp, c.first));
 
+  // One store accumulates every file: a key two records share must carry
+  // one measurement (the strict load throws MergeError otherwise).
   MergeStats local;
-  std::vector<std::optional<ExplorationPoint>> merged(configs.size());
-  // Canonical payload encoding of each merged slot, for conflict checks on
-  // overlapping coverage: the journal serialization is bit-exact (doubles
-  // as IEEE bit patterns), so string equality == measurement equality.
-  std::vector<std::string> payload(configs.size());
-
+  ResultCache store;
   for (const auto& path : journal_paths) {
     fault::inject("journal.merge", path);
-    auto loaded = CheckpointJournal::load_strict(path, fp, configs);
+    const auto st = store.load_strict(path, scope);
     ++local.journals;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (!loaded.points[i]) continue;
-      ++local.records;
-      const std::string enc = record::encode_point_fields(*loaded.points[i]);
-      if (merged[i]) {
-        ++local.overlap_records;
-        if (enc != payload[i]) {
-          throw MergeError(
-              "shard journals disagree on '" + configs[i].second +
-              "' (enumeration index " + std::to_string(i) + "): '" + path +
-              "' carries a different measurement than an earlier journal — "
-              "the shards did not run the same sweep");
-        }
-        continue;
-      }
-      merged[i] = std::move(loaded.points[i]);
-      payload[i] = enc;
+    local.records += st.records;
+    local.overlap_records += st.superseded;
+    // Earlier files passed this check, so a record whose key matches no
+    // configuration of the sweep came from this file.
+    std::size_t known = 0;
+    for (const std::uint64_t k : keys) known += store.find_row(k) != nullptr;
+    if (known != store.num_rows() || store.num_pruned() > 0) {
+      throw JournalCorruptError("shard journal '" + path +
+                                "' holds a record that matches no "
+                                "configuration of this sweep");
     }
   }
 
   // Coverage: every enumeration index must be present. Name what is
   // missing — "merge failed" without the labels would send the user back
   // to diffing journals by hand.
+  ExplorationResult result;
+  result.points.reserve(configs.size());
   std::vector<std::string> missing;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (!merged[i]) {
+    const ExplorationPoint* p =
+        store.find_row(point_key(mfp, configs[i].first));
+    if (!p) {
       missing.push_back(std::to_string(i) + " ('" + configs[i].second + "')");
+      continue;
     }
+    result.points.push_back(*p);
+    result.points.back().options = configs[i].first;
+    result.points.back().label = configs[i].second;
   }
   if (!missing.empty()) {
     std::ostringstream os;
@@ -105,9 +107,6 @@ ExplorationResult merge_shard_journals(
     throw MergeError(os.str());
   }
 
-  ExplorationResult result;
-  result.points.reserve(configs.size());
-  for (auto& p : merged) result.points.push_back(std::move(*p));
   result.replayed_points = result.points.size();
   finalize_points(result.points);
   obs::count("merge.journals", local.journals);

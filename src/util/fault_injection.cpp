@@ -36,8 +36,8 @@ const std::vector<const char*>& Injector::known_sites() {
       "alloc.split",       // core/split.cpp allocate_split
       "rtl.build",         // rtl/builder.cpp build_design
       "sim.run",           // sim/simulator.cpp Simulator::run
-      "journal.load",      // core/checkpoint.cpp CheckpointJournal::load
-      "journal.append",    // core/checkpoint.cpp CheckpointJournal::append
+      "journal.load",      // core/checkpoint.cpp ResultCache::load_and_compact
+      "journal.append",    // core/checkpoint.cpp ResultCache::append
       "pool.task",         // util/thread_pool.hpp parallel_for_index task
       "explore.point",     // core/explorer.cpp, detail = configuration label
       "journal.merge",     // core/shard.cpp per journal, detail = path

@@ -1,5 +1,6 @@
-// Crash-safe exploration: the checkpoint journal (core/checkpoint.hpp) and
-// core::explore()'s resume path.
+// Crash-safe exploration: checkpoint files (the point store of
+// core/checkpoint.hpp, scoped to one sweep) and core::explore()'s resume
+// path.
 //
 // The promise under test: a sweep interrupted after any number of
 // journalled points — by an exception or a real SIGKILL — resumes with the
@@ -40,6 +41,16 @@ core::ExplorerConfig small_config() {
   cfg.max_clocks = 3;
   cfg.computations = 120;
   cfg.jobs = 1;
+  return cfg;
+}
+
+/// small_config()'s enumeration plus two duplicate configurations under
+/// their own labels: two labels share each duplicated store key.
+core::ExplorerConfig duplicate_config() {
+  auto cfg = small_config();
+  cfg.explicit_configs = core::enumerate_configurations(small_config());
+  cfg.explicit_configs.emplace_back(cfg.explicit_configs[0].first, "dup-a");
+  cfg.explicit_configs.emplace_back(cfg.explicit_configs[3].first, "dup-b");
   return cfg;
 }
 
@@ -119,25 +130,34 @@ TEST(CheckpointTest, UninterruptedRunReplaysFully) {
 
 TEST(CheckpointTest, InterruptedRunResumesByteIdentical) {
   const auto b = suite::by_name("facet", 4);
-  const auto baseline = core::explore(*b.graph, *b.schedule, small_config());
-  const std::string expected = report_bytes(baseline);
-  const std::size_t total = core::num_configurations(small_config());
-  ASSERT_GE(total, 4u);
+  // The duplicate sweep's second label of a key replays with the first.
+  for (const bool dup : {false, true}) {
+    const auto sweep = dup ? duplicate_config() : small_config();
+    const auto baseline = core::explore(*b.graph, *b.schedule, sweep);
+    const std::string expected = report_bytes(baseline);
+    const std::size_t total = core::num_configurations(sweep);
+    ASSERT_GE(total, 4u);
 
-  // Interrupt after each possible prefix length, resume at several thread
-  // counts: every combination must reproduce the baseline bytes.
-  for (const std::size_t k : {std::size_t{1}, total / 2, total - 1}) {
-    for (const int resume_jobs : {1, 2, 8}) {
-      TempPath journal("ck_resume.journal");
-      interrupt_after(*b.graph, *b.schedule, small_config(), journal.path, k);
-      auto cfg = small_config();
-      cfg.checkpoint_file = journal.path;
-      cfg.jobs = resume_jobs;
-      const auto resumed = core::explore(*b.graph, *b.schedule, cfg);
-      EXPECT_EQ(resumed.replayed_points, k)
-          << "k=" << k << " jobs=" << resume_jobs;
-      EXPECT_EQ(expected, report_bytes(resumed))
-          << "k=" << k << " jobs=" << resume_jobs;
+    // Interrupt after each possible prefix length, resume at several thread
+    // counts: every combination must reproduce the baseline bytes.
+    for (const std::size_t k : {std::size_t{1}, total / 2, total - 1}) {
+      for (const int resume_jobs : {1, 2, 8}) {
+        SCOPED_TRACE("dup=" + std::to_string(dup) + " k=" +
+                     std::to_string(k) + " jobs=" +
+                     std::to_string(resume_jobs));
+        TempPath journal("ck_resume.journal");
+        interrupt_after(*b.graph, *b.schedule, sweep, journal.path, k);
+        auto cfg = sweep;
+        cfg.checkpoint_file = journal.path;
+        cfg.jobs = resume_jobs;
+        const auto resumed = core::explore(*b.graph, *b.schedule, cfg);
+        if (dup) {
+          EXPECT_GE(resumed.replayed_points, k);
+        } else {
+          EXPECT_EQ(resumed.replayed_points, k);
+        }
+        EXPECT_EQ(expected, report_bytes(resumed));
+      }
     }
   }
 }
@@ -171,8 +191,8 @@ TEST(CheckpointTest, CorruptRecordStopsReplayThereNotFatal) {
   core::explore(*b.graph, *b.schedule, cfg);
 
   // Flip one hex digit inside the *second* record's payload: the CRC
-  // mismatch must stop replay at that record (keeping record 1) without
-  // ever surfacing the corrupt measurement.
+  // mismatch must drop that record (keeping every other one) without ever
+  // surfacing the corrupt measurement.
   std::string bytes = slurp(journal.path);
   std::vector<std::size_t> starts;
   for (std::size_t p = bytes.find('\n'); p != std::string::npos;
@@ -189,7 +209,7 @@ TEST(CheckpointTest, CorruptRecordStopsReplayThereNotFatal) {
   spit(journal.path, bytes);
 
   const auto resumed = core::explore(*b.graph, *b.schedule, cfg);
-  EXPECT_EQ(resumed.replayed_points, 1u);
+  EXPECT_EQ(resumed.replayed_points, baseline.points.size() - 1);
   EXPECT_EQ(report_bytes(baseline), report_bytes(resumed));
 }
 
@@ -255,37 +275,41 @@ TEST(CheckpointTest, SlicedSweepResumesWithSpreadIntact) {
 TEST(CheckpointTest, GarbageJournalFileDegradesToFreshSweep) {
   const auto b = suite::by_name("facet", 4);
   const auto baseline = core::explore(*b.graph, *b.schedule, small_config());
-  TempPath journal("ck_garbage.journal");
-  spit(journal.path, "this is not a journal\nat all\n");
-  auto cfg = small_config();
-  cfg.checkpoint_file = journal.path;
-  const auto r = core::explore(*b.graph, *b.schedule, cfg);
-  EXPECT_EQ(r.replayed_points, 0u);
-  EXPECT_EQ(report_bytes(baseline), report_bytes(r));
-  // ... and the garbage file was replaced by a valid journal: a re-run now
-  // replays everything.
-  const auto again = core::explore(*b.graph, *b.schedule, cfg);
-  EXPECT_EQ(again.replayed_points, baseline.points.size());
+  // Garbage, and the two formats the point store replaced.
+  for (const char* bytes :
+       {"this is not a journal\nat all\n",
+        "mcrtl-journal v4 fp=0123456789abcdef\np 0 s:x 0 0\n",
+        "mcrtl-cache v1\nr 0123456789abcdef s:x 0\n"}) {
+    SCOPED_TRACE(bytes);
+    TempPath journal("ck_garbage.journal");
+    spit(journal.path, bytes);
+    auto cfg = small_config();
+    cfg.checkpoint_file = journal.path;
+    const auto r = core::explore(*b.graph, *b.schedule, cfg);
+    EXPECT_EQ(r.replayed_points, 0u);
+    EXPECT_EQ(report_bytes(baseline), report_bytes(r));
+    // ... and the file was replaced by a valid checkpoint: a re-run now
+    // replays everything.
+    EXPECT_EQ(slurp(journal.path).rfind("mcrtl-store v1 fp=", 0), 0u);
+    const auto again = core::explore(*b.graph, *b.schedule, cfg);
+    EXPECT_EQ(again.replayed_points, baseline.points.size());
+  }
 }
 
 TEST(CheckpointTest, FingerprintSeparatesConfigsButNotJobs) {
   const auto b = suite::by_name("facet", 4);
   const auto cfg = small_config();
-  const auto fp = core::CheckpointJournal::fingerprint(cfg, *b.graph,
-                                                       *b.schedule);
+  const auto fp = core::sweep_fingerprint(cfg, *b.graph, *b.schedule);
   auto jobs_only = cfg;
   jobs_only.jobs = 16;
   jobs_only.max_retries = 2;
   jobs_only.point_timeout_s = 5.0;
-  EXPECT_EQ(fp, core::CheckpointJournal::fingerprint(jobs_only, *b.graph,
-                                                     *b.schedule));
+  EXPECT_EQ(fp, core::sweep_fingerprint(jobs_only, *b.graph, *b.schedule));
   auto other = cfg;
   other.seed = cfg.seed + 1;
-  EXPECT_NE(fp, core::CheckpointJournal::fingerprint(other, *b.graph,
-                                                     *b.schedule));
+  EXPECT_NE(fp, core::sweep_fingerprint(other, *b.graph, *b.schedule));
   const auto b2 = suite::by_name("hal", 4);
-  EXPECT_NE(fp, core::CheckpointJournal::fingerprint(cfg, *b2.graph,
-                                                     *b2.schedule));
+  EXPECT_NE(fp, core::sweep_fingerprint(cfg, *b2.graph, *b2.schedule));
 }
 
 #ifndef _WIN32
@@ -316,8 +340,8 @@ TEST(CheckpointTest, SigkilledRunResumesByteIdentical) {
   while (std::chrono::steady_clock::now() < deadline) {
     records = 0;
     const std::string bytes = slurp(journal.path);
-    for (std::size_t p = bytes.find("\np "); p != std::string::npos;
-         p = bytes.find("\np ", p + 1)) {
+    for (std::size_t p = bytes.find("\nr "); p != std::string::npos;
+         p = bytes.find("\nr ", p + 1)) {
       // Count only complete (newline-terminated) records.
       if (bytes.find('\n', p + 1) != std::string::npos) ++records;
     }

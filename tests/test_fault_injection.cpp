@@ -157,6 +157,26 @@ TEST_F(FaultInjectionTest, ExhaustedFaultIsQuarantinedNotFatal) {
   }
 }
 
+TEST_F(FaultInjectionTest, AppendFaultDegradesTheCheckpointNotTheSweep) {
+  const auto b = suite::by_name("facet", 4);
+  const auto baseline = core::explore(*b.graph, *b.schedule, small_config());
+  TempPath journal("fi_append.journal");
+  auto cfg = small_config();
+  cfg.checkpoint_file = journal.path;
+  fault::set_enabled(true);
+  fault::ArmSpec spec;
+  spec.mode = fault::ArmSpec::Mode::Always;
+  fault::Injector::instance().arm("journal.append", spec);
+  const auto r = core::explore(*b.graph, *b.schedule, cfg);
+  expect_identical(baseline, r);
+  // The first append and its one retry fail; after that persistence is off
+  // and no further append is attempted.
+  EXPECT_EQ(fault::Injector::instance().hits("journal.append"), 2u);
+  fault::Injector::instance().reset();
+  fault::set_enabled(false);
+  EXPECT_EQ(core::explore(*b.graph, *b.schedule, cfg).replayed_points, 0u);
+}
+
 TEST_F(FaultInjectionTest, WithoutQuarantineTheFaultPropagates) {
   const auto b = suite::by_name("facet", 4);
   fault::set_enabled(true);

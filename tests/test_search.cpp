@@ -25,6 +25,7 @@
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "suite/benchmarks.hpp"
+#include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 
 using namespace mcrtl;
@@ -87,6 +88,22 @@ std::string result_signature(const core::SearchResult& r) {
          p.dominated_by + '\n';
   }
   return s;
+}
+
+core::ExplorationPoint cache_point(std::uint64_t k, double bias) {
+  core::ExplorationPoint p;
+  p.label = "pt" + std::to_string(k);
+  p.power.total = 1.0 / 3.0 + static_cast<double>(k) + bias;
+  p.area.total = 100.0 + static_cast<double>(k);
+  p.stats.period = 4;
+  p.stats.num_clocks = 2;
+  return p;
+}
+
+std::string slurp_db(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 }  // namespace
@@ -156,7 +173,16 @@ TEST(Search, CachedRerunIsIdenticalAndFullyHit) {
   EXPECT_EQ(fresh.cache_hits, 0u);
   EXPECT_GT(fresh.cache_misses, 0u);
 
+  // The replay learns nothing new, so it must not write: no append is even
+  // attempted, and the DB is byte-identical afterwards.
+  const std::string db_before = slurp_db(db);
+  fault::set_enabled(true);
+  fault::Injector::instance().reset();
   const auto cached = core::search(g.space, cfg);
+  EXPECT_EQ(fault::Injector::instance().hits("journal.append"), 0u);
+  fault::Injector::instance().reset();
+  fault::set_enabled(false);
+  EXPECT_EQ(slurp_db(db), db_before);
   EXPECT_EQ(cached.cache_misses, 0u) << "second run must be 100% cache hits";
   EXPECT_EQ(cached.cache_hits, fresh.cache_misses);
   EXPECT_EQ(cached.full_evaluations, 0u);
@@ -295,33 +321,36 @@ TEST(ResultCache, MissingAndForeignFilesAreColdCaches) {
   EXPECT_EQ(cache.load(tmp_path("does_not_exist.db")), 0u);
   EXPECT_EQ(cache.num_rows(), 0u);
 
-  const std::string db = tmp_path("foreign.db");
-  std::ofstream(db) << "some other format v9\nr garbage\n";
-  core::ResultCache foreign;
-  EXPECT_EQ(foreign.load(db), 1u);  // header mismatch, file ignored
-  EXPECT_EQ(foreign.num_rows(), 0u);
-  std::remove(db.c_str());
+  // A foreign file, and the two formats the point store replaced: each
+  // reads cold, and the first search that learns something replaces it.
+  Grid g;
+  g.benches.push_back(suite::motivating(4));
+  g.space.behaviours.push_back(core::SearchBehaviour{
+      "motivating/w4", g.benches[0].graph.get(), g.benches[0].schedule.get(),
+      {}});
+  g.space.candidates.push_back(core::SearchCandidate{0, {}, "conv-gated"});
+  core::SearchConfig cfg;
+  cfg.computations = 40;
+  cfg.budget_rungs = 0;
+  cfg.cache_db = tmp_path("foreign.db");
+  for (const char* bytes :
+       {"some other format v9\nr garbage\n",
+        "mcrtl-cache v1\nr 0123456789abcdef s:x 0\n",
+        "mcrtl-journal v4 fp=0123456789abcdef\np 0 s:x 0 0\n"}) {
+    SCOPED_TRACE(bytes);
+    std::ofstream(cfg.cache_db, std::ios::trunc) << bytes;
+    core::ResultCache foreign;
+    EXPECT_EQ(foreign.load(cfg.cache_db), 1u);  // header mismatch, ignored
+    EXPECT_EQ(foreign.num_rows(), 0u);
+    const auto r = core::search(g.space, cfg);
+    EXPECT_EQ(r.cache_misses, 1u);
+    EXPECT_EQ(slurp_db(cfg.cache_db).rfind("mcrtl-store v1 fp=", 0), 0u);
+    core::ResultCache replaced;
+    EXPECT_EQ(replaced.load(cfg.cache_db), 0u);
+    EXPECT_EQ(replaced.num_rows(), 1u);
+  }
+  std::remove(cfg.cache_db.c_str());
 }
-
-namespace {
-
-core::ExplorationPoint cache_point(std::uint64_t k, double bias) {
-  core::ExplorationPoint p;
-  p.label = "pt" + std::to_string(k);
-  p.power.total = 1.0 / 3.0 + static_cast<double>(k) + bias;
-  p.area.total = 100.0 + static_cast<double>(k);
-  p.stats.period = 4;
-  p.stats.num_clocks = 2;
-  return p;
-}
-
-std::string slurp_db(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-}  // namespace
 
 TEST(ResultCache, CompactionDropsSupersededAndCorruptAndReplaysIdentically) {
   const std::string db = tmp_path("compact.db");
@@ -377,37 +406,6 @@ TEST(ResultCache, CompactionDropsSupersededAndCorruptAndReplaysIdentically) {
   EXPECT_EQ(stats2.bad_lines, 0u);
   EXPECT_EQ(stats2.superseded, 0u);
   EXPECT_EQ(before, slurp_db(db));
-  std::remove(db.c_str());
-}
-
-TEST(ResultCache, CompactionBoundsTheDatabaseSize) {
-  const std::string db = tmp_path("compact_bound.db");
-  std::remove(db.c_str());
-  core::ResultCache big;
-  for (std::uint64_t k = 1; k <= 6; ++k) big.put_row(k, cache_point(k, 0.0));
-  for (std::uint64_t s = 1; s <= 4; ++s) {
-    big.put_pruned(s, 100 + s, core::ResultCache::PrunedMark{1, "x"});
-  }
-  ASSERT_TRUE(big.save(db));
-
-  core::ResultCache cache;
-  const auto stats = cache.load_and_compact(db, /*max_rows=*/4,
-                                            /*max_pruned=*/2);
-  EXPECT_EQ(stats.evicted_rows, 2u);
-  EXPECT_EQ(stats.evicted_marks, 2u);
-  EXPECT_TRUE(stats.rewritten);
-  EXPECT_EQ(cache.num_rows(), 4u);
-  EXPECT_EQ(cache.num_pruned(), 2u);
-  // Deterministic victims: the numerically largest keys go first.
-  EXPECT_NE(cache.find_row(1), nullptr);
-  EXPECT_NE(cache.find_row(4), nullptr);
-  EXPECT_EQ(cache.find_row(5), nullptr);
-  EXPECT_EQ(cache.find_row(6), nullptr);
-
-  core::ResultCache replay;
-  EXPECT_EQ(replay.load(db), 0u);
-  EXPECT_EQ(replay.num_rows(), 4u);
-  EXPECT_EQ(replay.num_pruned(), 2u);
   std::remove(db.c_str());
 }
 

@@ -7,9 +7,10 @@
 //      merge_shard_journals() reassembles CSV/JSON reports that match an
 //      unsharded explore() byte-for-byte, for every (K, jobs) tested.
 //   2. The merge is strict where resume is tolerant: a missing shard, a
-//      torn tail, a checksum failure, a stale fingerprint or two journals
-//      disagreeing on one index is a loud error, never a silently partial
-//      report. Agreeing overlap (the same shard run twice) is tolerated.
+//      torn tail, a checksum failure, a stale fingerprint or two records
+//      disagreeing on one key is a loud error, never a silently partial
+//      report. Agreeing overlap (the same shard run twice, or two labels of
+//      one configuration owned by different shards) is tolerated.
 //   3. Crash-safety composes with sharding: a SIGKILLed shard worker
 //      resumes from its journal and the merged sweep is still identical.
 #include <gtest/gtest.h>
@@ -36,8 +37,8 @@
 #include "power/report.hpp"
 #include "suite/benchmarks.hpp"
 #include "util/error.hpp"
+#include "subprocess.hpp"
 #include "util/fault_injection.hpp"
-#include "util/subprocess.hpp"
 
 using namespace mcrtl;
 
@@ -48,6 +49,17 @@ core::ExplorerConfig small_config() {
   cfg.max_clocks = 3;
   cfg.computations = 120;
   cfg.jobs = 1;
+  return cfg;
+}
+
+/// small_config()'s enumeration plus two duplicate configurations under
+/// their own labels: two labels share each duplicated store key, and the
+/// shards that own them both evaluate it.
+core::ExplorerConfig duplicate_config() {
+  auto cfg = small_config();
+  cfg.explicit_configs = core::enumerate_configurations(small_config());
+  cfg.explicit_configs.emplace_back(cfg.explicit_configs[0].first, "dup-a");
+  cfg.explicit_configs.emplace_back(cfg.explicit_configs[3].first, "dup-b");
   return cfg;
 }
 
@@ -149,35 +161,42 @@ TEST(ShardSpecTest, RoundRobinPartitionsTheEnumeration) {
 
 TEST(ShardMergeTest, MergedResultIsByteIdenticalForAnyShardCountAndJobs) {
   const auto b = suite::by_name("facet", 4);
-  const auto cfg = small_config();
-  const auto baseline = core::explore(*b.graph, *b.schedule, cfg);
-  const std::string expect = report_bytes(baseline);
-  const std::size_t total = core::num_configurations(cfg);
+  for (const bool dup : {false, true}) {
+    const auto cfg = dup ? duplicate_config() : small_config();
+    const auto baseline = core::explore(*b.graph, *b.schedule, cfg);
+    const std::string expect = report_bytes(baseline);
+    const std::size_t total = core::num_configurations(cfg);
+    const std::size_t distinct = core::num_configurations(small_config());
 
-  for (int K : {1, 2, 3, 8}) {
-    for (int jobs : {1, 2}) {
-      SCOPED_TRACE("K=" + std::to_string(K) +
-                   " jobs=" + std::to_string(jobs));
-      std::vector<std::unique_ptr<TempPath>> journals;
-      std::vector<std::string> paths;
-      std::size_t shard_points = 0;
-      for (int k = 0; k < K; ++k) {
-        journals.push_back(std::make_unique<TempPath>(
-            "sh_ident_" + std::to_string(K) + "_" + std::to_string(jobs) +
-            "_" + std::to_string(k) + ".journal"));
-        paths.push_back(journals.back()->path);
-        const auto r = run_shard(b, cfg, k, K, paths.back(), jobs);
-        shard_points += r.points.size();
+    for (int K : {1, 2, 3, 8}) {
+      for (int jobs : {1, 2}) {
+        SCOPED_TRACE("dup=" + std::to_string(dup) + " K=" + std::to_string(K) +
+                     " jobs=" + std::to_string(jobs));
+        std::vector<std::unique_ptr<TempPath>> journals;
+        std::vector<std::string> paths;
+        std::size_t shard_points = 0;
+        for (int k = 0; k < K; ++k) {
+          journals.push_back(std::make_unique<TempPath>(
+              "sh_ident_" + std::to_string(K) + "_" + std::to_string(jobs) +
+              "_" + std::to_string(k) + ".journal"));
+          paths.push_back(journals.back()->path);
+          const auto r = run_shard(b, cfg, k, K, paths.back(), jobs);
+          shard_points += r.points.size();
+        }
+        EXPECT_EQ(shard_points, total);
+        core::MergeStats stats;
+        const auto merged = core::merge_shard_journals(*b.graph, *b.schedule,
+                                                       cfg, paths, &stats);
+        EXPECT_EQ(stats.journals, static_cast<std::size_t>(K));
+        // One record per distinct key, plus a duplicate's agreeing record
+        // when another shard owns it.
+        EXPECT_EQ(stats.records - stats.overlap_records, distinct);
+        if (!dup) {
+          EXPECT_EQ(stats.overlap_records, 0u);
+        }
+        EXPECT_EQ(merged.replayed_points, total);
+        EXPECT_EQ(expect, report_bytes(merged));
       }
-      EXPECT_EQ(shard_points, total);
-      core::MergeStats stats;
-      const auto merged =
-          core::merge_shard_journals(*b.graph, *b.schedule, cfg, paths, &stats);
-      EXPECT_EQ(stats.journals, static_cast<std::size_t>(K));
-      EXPECT_EQ(stats.records, total);
-      EXPECT_EQ(stats.overlap_records, 0u);
-      EXPECT_EQ(merged.replayed_points, total);
-      EXPECT_EQ(expect, report_bytes(merged));
     }
   }
 }
@@ -204,8 +223,8 @@ TEST(ShardMergeTest, EmptyShardJournalsHeaderOnlyAndMergesFine) {
     run_shard(b, cfg, k, 8, paths.back());
   }
   const std::string empty_bytes = slurp(paths[7]);
-  EXPECT_EQ(empty_bytes.find("mcrtl-journal"), 0u);
-  EXPECT_EQ(empty_bytes.find("\np "), std::string::npos);
+  EXPECT_EQ(empty_bytes.find("mcrtl-store"), 0u);
+  EXPECT_EQ(empty_bytes.find("\nr "), std::string::npos);
 
   const auto merged =
       core::merge_shard_journals(*b.graph, *b.schedule, cfg, paths);
@@ -323,9 +342,10 @@ TEST(ShardMergeTest, ConflictingOverlapIsFatal) {
   cfg.checkpoint_file = full.path;
   const auto baseline = core::explore(*b.graph, *b.schedule, cfg);
 
-  // A second journal claiming index 0 with a perturbed measurement — valid
-  // header, valid CRC, same label, different payload. This is the "two
-  // shards did not run the same sweep" failure a checksum cannot catch.
+  // A second file claiming configuration 0's key with a perturbed
+  // measurement — valid header, valid CRC, same label, different payload.
+  // This is the "two shards did not run the same sweep" failure a checksum
+  // cannot catch.
   const auto configs = core::enumerate_configurations(small_config());
   core::ExplorationPoint forged;
   bool found = false;
@@ -340,11 +360,16 @@ TEST(ShardMergeTest, ConflictingOverlapIsFatal) {
   forged.power.total += 1.0;
   TempPath liar("sh_conflict_liar.journal");
   {
-    const auto fp = core::CheckpointJournal::fingerprint(small_config(),
-                                                         *b.graph,
-                                                         *b.schedule);
-    core::CheckpointJournal j(liar.path, fp);
-    ASSERT_TRUE(j.append(0, forged));
+    const auto c = small_config();
+    const std::uint64_t key =
+        core::measurement_fingerprint(*b.graph, *b.schedule, c.computations,
+                                      c.seed, c.streams, c.power_params) ^
+        core::config_hash(configs[0].first);
+    core::ResultCache liar_store;
+    liar_store.load_and_compact(liar.path,
+                                core::sweep_fingerprint(c, *b.graph,
+                                                        *b.schedule));
+    ASSERT_TRUE(liar_store.append({{key, &forged, 0, {}}}));
   }
   try {
     core::merge_shard_journals(*b.graph, *b.schedule, small_config(),
@@ -519,8 +544,8 @@ TEST(ShardCliTest, SigkilledShardResumesAndMergesByteIdentical) {
   while (std::chrono::steady_clock::now() < deadline) {
     records = 0;
     const std::string bytes = slurp(j0.path);
-    for (std::size_t p = bytes.find("\np "); p != std::string::npos;
-         p = bytes.find("\np ", p + 1)) {
+    for (std::size_t p = bytes.find("\nr "); p != std::string::npos;
+         p = bytes.find("\nr ", p + 1)) {
       if (bytes.find('\n', p + 1) != std::string::npos) ++records;
     }
     if (records >= 1) break;

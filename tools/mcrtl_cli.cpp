@@ -26,11 +26,11 @@
 //       overlapping disagreement or missing coverage aborts with a
 //       diagnostic; on success the --csv/--json reports are byte-identical
 //       to an unsharded `mcrtl explore` of the same sweep.
-//   mcrtl serve --socket PATH [--shards N] [--cache-db FILE] [options]
+//   mcrtl serve --socket PATH [--cache-db FILE] [options]
 //       Long-lived sweep daemon on a unix socket: dedupes concurrent
 //       identical requests, serves repeated sweeps from the point cache,
-//       optionally fans each computed sweep out to N shard worker
-//       processes. Stop with `mcrtl query --socket PATH --shutdown`.
+//       computes the rest in-process on --jobs threads. Stop with
+//       `mcrtl query --socket PATH --shutdown`.
 //   mcrtl query <benchmark> --socket PATH [options]
 //       Ask a running daemon for a sweep; prints the CSV report (the same
 //       bytes `mcrtl explore --csv` writes) on stdout.
@@ -65,9 +65,6 @@
 //                    processes, any order) and `mcrtl merge` the journals
 //   --journals LIST  (merge) comma-separated shard journal files
 //   --socket PATH    (serve/query) unix socket of the sweep daemon
-//   --shards N       (serve) fan each computed sweep out to N worker
-//                    processes (default: compute in-process)
-//   --work-dir DIR   (serve) scratch directory for shard journals
 //   --shutdown       (query) ask the daemon to stop instead of sweeping
 //   --point-timeout S (explore) per-point simulation deadline in seconds;
 //                    an expired point is retried/quarantined like a failure
@@ -140,7 +137,6 @@
 #include "suite/benchmarks.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
-#include "util/subprocess.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -193,8 +189,6 @@ struct CliOptions {
   std::string shard;     // "i/N" (explore)
   std::string journals;  // comma list (merge)
   std::string socket;    // unix socket path (serve/query)
-  int shards = 0;        // worker processes per sweep (serve)
-  std::string work_dir;  // shard journal scratch (serve)
   bool shutdown = false; // query: stop the daemon
 
   /// Any observability request turns collection on.
@@ -224,7 +218,7 @@ int usage() {
                "             [--min-survivors N] [--cache-db file] "
                "[--pareto-only]\n"
                "             [--shard i/N] [--journals a,b,...] "
-               "[--socket path] [--shards N] [--work-dir dir] [--shutdown]\n");
+               "[--socket path] [--shutdown]\n");
   return 2;
 }
 
@@ -374,14 +368,6 @@ bool parse_args(int argc, char** argv, CliOptions& o) {
       const char* v = next();
       if (!v) return false;
       o.socket = v;
-    } else if (a == "--shards") {
-      const char* v = next();
-      if (!v) return false;
-      o.shards = std::atoi(v);
-    } else if (a == "--work-dir") {
-      const char* v = next();
-      if (!v) return false;
-      o.work_dir = v;
     } else if (a == "--shutdown") {
       o.shutdown = true;
     } else if (!a.empty() && a[0] != '-') {
@@ -821,24 +807,10 @@ int cmd_serve(const CliOptions& o) {
   core::SweepServer::Config sc;
   sc.socket_path = o.socket;
   sc.cache_db = o.cache_db;
-  sc.work_dir = o.work_dir;
-  sc.shards = o.shards;
   sc.jobs = o.jobs;
-  if (o.shards > 1) {
-    sc.cli_path = proc::self_exe_path();
-    if (sc.cli_path.empty()) {
-      throw mcrtl::Error(
-          "--shards needs the executable's own path, which this platform "
-          "cannot provide; run without --shards");
-    }
-  }
   core::SweepServer server(std::move(sc));
   server.start();
-  std::printf("serving on %s (%s%s)\n", o.socket.c_str(),
-              o.shards > 1
-                  ? str_format("%d shard processes per sweep", o.shards)
-                        .c_str()
-                  : "in-process",
+  std::printf("serving on %s (in-process%s)\n", o.socket.c_str(),
               o.cache_db.empty() ? "" : ", persistent cache");
   std::fflush(stdout);
   server.wait_until_stopped();
