@@ -28,6 +28,11 @@
 //  6. time-sliced throughput — aggregate scalar / time-sliced sim.run time
 //     (median reps) over the suite configs at 4000 computations >= 4x;
 //
+// and, in the same run, both paths again with the probe detached: the
+// no-probe speedup is the ceiling the probe-attached one is measured
+// against, and their ratio (attached / detached, 1 = a free probe) is the
+// probe's in-run cost.
+//
 // and records the crossover curve — the speedup at 16..4000 computations
 // on the suite configs and on 128..1024-node random DFGs — that sets
 // Simulator::kTimeSlicedMinComputations. BENCH_sim.json carries a "host"
@@ -116,19 +121,22 @@ struct SlicedRow {
 struct TimeSlicedRow {
   std::string bench;
   int num_clocks = 0;
-  RunStats scalar, sliced;  // seconds per run() call
+  RunStats scalar, sliced;  // seconds per run() call, probe attached
+  RunStats scalar_bare, sliced_bare;  // the same, probe detached
   double speedup() const { return scalar.pct50 / sliced.pct50; }
+  double speedup_bare() const { return scalar_bare.pct50 / sliced_bare.pct50; }
 };
 
 /// Per-call wall time of run() over `n` computations of `stream`, each call
-/// on a fresh simulator with a power probe attached, under time-sliced
-/// threshold `threshold`. Calls are batched to >= 256 computations per
-/// timed sample so short runs stay well above timer resolution; only run()
-/// is timed. The last call's result and crest land in *last / *crest.
+/// on a fresh simulator with a power probe attached (unless `probe` is
+/// false), under time-sliced threshold `threshold`. Calls are batched to
+/// >= 256 computations per timed sample so short runs stay well above
+/// timer resolution; only run() is timed. The last call's result and crest
+/// land in *last / *crest.
 RunStats time_runs(const rtl::Design& design, const dfg::Graph& graph,
                    const sim::InputStream& stream, std::size_t n,
                    std::size_t threshold, int reps, sim::SimResult* last,
-                   double* crest) {
+                   double* crest, bool probe = true) {
   const power::Attribution attribution(design, power::TechLibrary::cmos08(),
                                        power::PowerParams{}.vdd);
   const std::size_t batch = std::max<std::size_t>(1, 256 / n);
@@ -140,7 +148,7 @@ RunStats time_runs(const rtl::Design& design, const dfg::Graph& graph,
       sims.push_back(std::make_unique<sim::Simulator>(design));
       probes.push_back(
           std::make_unique<sim::PowerProbe>(attribution.energy_model()));
-      sims.back()->set_power_probe(probes.back().get());
+      if (probe) sims.back()->set_power_probe(probes.back().get());
       sims.back()->set_computation_budget(n);
     }
     const sim::testing::ScopedTimeSlicedThreshold seam(threshold);
@@ -377,6 +385,7 @@ int main() {
 
   std::vector<TimeSlicedRow> tsrows;
   double ts_scalar_s = 0, ts_sliced_s = 0;
+  double ts_scalar_bare_s = 0, ts_sliced_bare_s = 0;
   for (const auto& d : designs) {
     if (d.family != "suite") continue;
     const auto stream = stream_of(d);
@@ -390,7 +399,15 @@ int main() {
     row.sliced = time_runs(*d.syn.design, graph_of(d), stream,
                            kTsComputations, kSlicedAlways, kReps, &ts,
                            &ts_crest);
-    if (!identical(ts, sc) || ts_crest != sc_crest) {
+    sim::SimResult bare;
+    double bare_crest = 0;
+    row.scalar_bare =
+        time_runs(*d.syn.design, graph_of(d), stream, kTsComputations,
+                  kScalarOnly, kReps, &bare, &bare_crest, false);
+    row.sliced_bare =
+        time_runs(*d.syn.design, graph_of(d), stream, kTsComputations,
+                  kSlicedAlways, kReps, &bare, &bare_crest, false);
+    if (!identical(ts, sc) || ts_crest != sc_crest || !identical(bare, sc)) {
       std::fprintf(stderr,
                    "FATAL: %s n=%d time-sliced run differs from the scalar "
                    "run\n",
@@ -399,9 +416,13 @@ int main() {
     }
     ts_scalar_s += row.scalar.pct50;
     ts_sliced_s += row.sliced.pct50;
+    ts_scalar_bare_s += row.scalar_bare.pct50;
+    ts_sliced_bare_s += row.sliced_bare.pct50;
     tsrows.push_back(row);
   }
   const double ts_speedup = ts_scalar_s / ts_sliced_s;
+  const double ts_speedup_bare = ts_scalar_bare_s / ts_sliced_bare_s;
+  const double ts_probe_ratio = ts_speedup / ts_speedup_bare;
   if (ts_speedup < kTsFloor) {
     std::fprintf(stderr,
                  "FATAL: time-sliced speedup %.2fx is below the %.0fx floor "
@@ -464,17 +485,20 @@ int main() {
 
   std::printf("\n");
   TextTable tt({"bench", "n", "scalar ms/run", "time-sliced ms/run",
-                "speedup"});
+                "speedup", "no-probe speedup"});
   for (const auto& r : tsrows) {
     tt.add_row({r.bench, std::to_string(r.num_clocks),
                 format_fixed(r.scalar.pct50 * 1e3, 2),
                 format_fixed(r.sliced.pct50 * 1e3, 2),
-                format_fixed(r.speedup(), 2) + "x"});
+                format_fixed(r.speedup(), 2) + "x",
+                format_fixed(r.speedup_bare(), 2) + "x"});
   }
   std::fputs(tt.render().c_str(), stdout);
   std::printf("\ntime-sliced speedup (aggregate, %zu computations): %.2fx "
-              "(floor %.0fx)\n",
-              kTsComputations, ts_speedup, kTsFloor);
+              "(floor %.0fx); probe detached: %.2fx; attached/detached "
+              "%.2f\n",
+              kTsComputations, ts_speedup, kTsFloor, ts_speedup_bare,
+              ts_probe_ratio);
   TextTable ct({"computations", "suite speedup", "random-DFG speedup"});
   for (std::size_t i = 0; i < kCurve.size(); ++i) {
     ct.add_row({std::to_string(kCurve[i]),
@@ -534,7 +558,9 @@ int main() {
     }
     js << "  ]},\n  \"time_sliced\": {\"computations\": " << kTsComputations
        << ", \"speedup\": " << ts_speedup << ", \"speedup_floor\": "
-       << kTsFloor << ", \"dispatch_threshold\": "
+       << kTsFloor << ", \"speedup_no_probe\": " << ts_speedup_bare
+       << ", \"probe_speedup_ratio\": " << ts_probe_ratio
+       << ", \"dispatch_threshold\": "
        << sim::Simulator::kTimeSlicedMinComputations << ",\n  \"configs\": [\n";
     for (std::size_t i = 0; i < tsrows.size(); ++i) {
       const auto& r = tsrows[i];
@@ -542,10 +568,16 @@ int main() {
          << "\", \"num_clocks\": " << r.num_clocks
          << ", \"scalar_seconds\": " << r.scalar.pct50
          << ", \"time_sliced_seconds\": " << r.sliced.pct50
-         << ", \"speedup\": " << r.speedup() << ",\n     \"scalar_timing\": {";
+         << ", \"speedup\": " << r.speedup()
+         << ", \"speedup_no_probe\": " << r.speedup_bare()
+         << ",\n     \"scalar_timing\": {";
       emit_timing(js, r.scalar);
       js << "}, \"time_sliced_timing\": {";
       emit_timing(js, r.sliced);
+      js << "},\n     \"scalar_no_probe_timing\": {";
+      emit_timing(js, r.scalar_bare);
+      js << "}, \"time_sliced_no_probe_timing\": {";
+      emit_timing(js, r.sliced_bare);
       js << "}}" << (i + 1 < tsrows.size() ? "," : "") << "\n";
     }
     auto emit_list = [&](const auto& v) {
@@ -564,7 +596,8 @@ int main() {
        << ",\n  \"guard\": \"event evals <= oblivious evals on every config; "
           "results bit-identical; sliced results bit-identical per stream; "
           "batch speedup (pct50) >= 8x; time-sliced results bit-identical to "
-          "scalar; time-sliced speedup (pct50) >= 4x\"\n}\n";
+          "scalar, probe attached or not; time-sliced speedup with the probe "
+          "attached (pct50) >= 4x\"\n}\n";
   }
   std::printf("\nwrote BENCH_sim.json (%zu + %zu + %zu configs), guard %s\n",
               rows.size(), srows.size(), tsrows.size(), ok ? "OK" : "FAILED");

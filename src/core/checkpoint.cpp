@@ -124,11 +124,11 @@ std::uint64_t measurement_fingerprint(const dfg::Graph& graph,
                                       std::size_t computations,
                                       std::uint64_t seed, std::size_t streams,
                                       const power::PowerParams& params) {
-  // v3: both levelized kernels drain a settle in (level, CompId) order, so a
-  // point's crest can differ from a v2 record in the last bit. Stores
-  // written before that are stale, not mixable.
+  // v4: crest is computed from exact fixed-point step energies
+  // (sim/power_probe.hpp), so a point's crest can differ from a v3 record
+  // in the last bits. Stores written before that are stale, not mixable.
   std::ostringstream os;
-  os << "mcrtl-explorer-v3\n" << dfg::serialize_dfg(graph, &sched) << '\n'
+  os << "mcrtl-explorer-v4\n" << dfg::serialize_dfg(graph, &sched) << '\n'
      << computations << ' ' << seed << ' ' << streams << ' '
      << encode_double(params.vdd) << ' ' << encode_double(params.f_master)
      << ' ' << encode_double(params.leakage_mw_per_mlambda2) << ' '

@@ -255,9 +255,14 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     obs::Span point_span("explore.point");
     const auto& [opts, label] = configs[i];
     const auto syn = synthesize(graph, sched, opts);
-    sim::Simulator simulator(*syn.design, cfg.streams == 1
-                                              ? sim::Simulator::Mode::EventDriven
-                                              : sim::Simulator::Mode::BitSliced);
+    // Per-point set-up gets its own spans (sim.build, power.attribution,
+    // power.estimate), so explore.point's self time is only glue.
+    auto simulator = [&] {
+      obs::Span span("sim.build");
+      return sim::Simulator(*syn.design,
+                            cfg.streams == 1 ? sim::Simulator::Mode::EventDriven
+                                             : sim::Simulator::Mode::BitSliced);
+    }();
     if (cfg.point_timeout_s > 0) {
       simulator.set_deadline(std::chrono::steady_clock::now() +
                              std::chrono::duration_cast<
@@ -269,14 +274,26 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     p.options = opts;
     p.label = label;
     // Hierarchical attribution rides along with every evaluation: the probe
-    // time-resolves the energy (for the crest factor and, when tracing, the
-    // per-domain counter tracks) and attribute() names the hotspot. The
-    // probe only observes — outputs and Activity are bit-identical with it
-    // attached (tests/test_attribution.cpp).
-    power::Attribution attribution(*syn.design, tech, cfg.power_params.vdd);
-    sim::PowerProbe probe(attribution.energy_model());
+    // keeps the per-step peak and the run total (the crest factor) and, when
+    // tracing, the per-step energy distribution; attribute() names the
+    // hotspot. No per-step waveform is stored. The probe only observes —
+    // outputs and Activity are bit-identical with it attached
+    // (tests/test_attribution.cpp).
+    const bool traced = obs::enabled();
+    const auto attribution = [&] {
+      obs::Span span("power.attribution");
+      return power::Attribution(*syn.design, tech, cfg.power_params.vdd);
+    }();
+    sim::PowerProbe probe(attribution.energy_model(),
+                          traced ? sim::PowerProbe::kStepHistogram : 0);
     simulator.set_power_probe(&probe);
+    auto estimate = [&](const sim::Activity& activity) {
+      obs::Span span("power.estimate");
+      return power::estimate_power(*syn.design, activity, tech,
+                                   cfg.power_params);
+    };
     auto finish_attribution = [&](const sim::Activity& activity) {
+      obs::Span span("power.attribution");
       const auto arep = attribution.attribute(activity);
       if (!arep.rows.empty()) {
         p.hotspot = arep.rows.front().component;
@@ -285,9 +302,7 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
                               : 0.0;
       }
       p.crest = probe.crest();
-      if (obs::enabled()) {
-        obs::observe_many("power.step_fj", probe.step_energies());
-      }
+      if (traced) obs::merge_histogram("power.step_fj", probe.step_histogram());
     };
     if (cfg.streams == 1) {
       const auto res =
@@ -297,8 +312,7 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
       MCRTL_CHECK_MSG(rep.equivalent,
                       "explorer produced a non-equivalent design: "
                           << rep.detail);
-      p.power = power::estimate_power(*syn.design, res.activity, tech,
-                                      cfg.power_params);
+      p.power = estimate(res.activity);
       finish_attribution(res.activity);
     } else {
       // One bit-sliced pass advances all streams; every lane must still be
@@ -314,8 +328,7 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
         MCRTL_CHECK_MSG(rep.equivalent,
                         "explorer produced a non-equivalent design (stream "
                             << s << "): " << rep.detail);
-        brs[s] = power::estimate_power(*syn.design, results[s].activity, tech,
-                                       cfg.power_params);
+        brs[s] = estimate(results[s].activity);
         totals[s] = brs[s].total;
       }
       // Every reported field is a per-stream sample mean; sample_stats
@@ -337,14 +350,17 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
       p.power_stddev = st.stddev;
       p.power_ci95 = st.ci95;
       // Aggregate attribution across streams: integer Activity records add
-      // exactly, and the probe already accumulated the all-lane waveform.
+      // exactly, and the probe already accumulated the all-lane steps.
       std::vector<sim::Activity> acts(results.size());
       for (std::size_t s = 0; s < results.size(); ++s) {
         acts[s] = results[s].activity;
       }
       finish_attribution(sim::sum_activities(acts));
     }
-    p.area = power::estimate_area(*syn.design, tech);
+    {
+      obs::Span span("power.estimate");
+      p.area = power::estimate_area(*syn.design, tech);
+    }
     p.stats = syn.design->stats;
     result.points[i] = std::move(p);
   };

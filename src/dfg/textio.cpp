@@ -1,5 +1,6 @@
 #include "dfg/textio.hpp"
 
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -52,8 +53,10 @@ ParsedDfg parse_dfg(std::istream& in) {
       if (tok.size() != 4 || tok[2] != "width") {
         fail(lineno, "expected: graph <name> width <bits>");
       }
-      const int w = std::atoi(tok[3].c_str());
-      if (w < 1 || w > 64) fail(lineno, "width must be 1..64");
+      long long w = 0;
+      if (!parse_int(tok[3], w) || w < 1 || w > 64) {
+        fail(lineno, "width must be an integer in 1..64, got '" + tok[3] + "'");
+      }
       graph = std::make_unique<Graph>(tok[1], static_cast<unsigned>(w));
       continue;
     }
@@ -69,10 +72,10 @@ ParsedDfg parse_dfg(std::istream& in) {
         fail(lineno, "expected: const <name> = <value>");
       }
       if (names.count(tok[1])) fail(lineno, "name '" + tok[1] + "' reused");
-      char* end = nullptr;
-      const long long v = std::strtoll(tok[3].c_str(), &end, 0);
-      if (end == tok[3].c_str() || *end != '\0') {
-        fail(lineno, "bad constant value '" + tok[3] + "'");
+      long long v = 0;
+      if (!parse_int(tok[3], v, 0)) {
+        fail(lineno, "constant value must be a 64-bit signed integer, got '" +
+                         tok[3] + "'");
       }
       names[tok[1]] = graph->add_constant(v, tok[1]);
     } else if (tok[0] == "node") {
@@ -108,9 +111,15 @@ ParsedDfg parse_dfg(std::istream& in) {
       names[tok[1]] = graph->node(nid).output;
       if (i < tok.size()) {  // "@ step"
         if (i + 2 != tok.size()) fail(lineno, "expected: @ <step>");
-        const int step = std::atoi(tok[i + 1].c_str());
-        if (step < 1) fail(lineno, "steps are 1-based");
-        steps.push_back({nid, step});
+        long long step = 0;
+        if (!parse_int(tok[i + 1], step) || step < 1 ||
+            step > std::numeric_limits<int>::max()) {
+          fail(lineno, str_format("step must be an integer in 1..%d "
+                                  "(steps are 1-based), got '%s'",
+                                  std::numeric_limits<int>::max(),
+                                  tok[i + 1].c_str()));
+        }
+        steps.push_back({nid, static_cast<int>(step)});
       } else {
         all_scheduled = false;
       }
@@ -122,6 +131,9 @@ ParsedDfg parse_dfg(std::istream& in) {
     }
   }
   if (!graph) fail(lineno, "empty document");
+  // Synthesis needs at least one scheduled operation (a clock scheme with
+  // no control steps does not exist).
+  if (!any_node) fail(lineno, "graph '" + graph->name() + "' has no nodes");
   for (const auto& name : outputs) {
     auto it = names.find(name);
     if (it == names.end()) {

@@ -9,9 +9,9 @@
 
 namespace mcrtl::obs {
 
-namespace {
+std::atomic<bool> detail::g_enabled{false};
 
-std::atomic<bool> g_enabled{false};
+namespace {
 
 double ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 
@@ -61,9 +61,9 @@ double HistogramStats::pct(double q) const {
   return max;
 }
 
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
+void set_enabled(bool on) {
+  detail::g_enabled.store(on, std::memory_order_relaxed);
+}
 
 Registry::Registry() : epoch_(std::chrono::steady_clock::now()) {}
 
@@ -113,13 +113,19 @@ void Registry::observe(const std::string& name, double value) {
   fold_sample(h, value);
 }
 
-void Registry::observe_many(const std::string& name,
-                            const std::vector<double>& values) {
-  if (!enabled()) return;
+void Registry::merge_histogram(const std::string& name,
+                               const HistogramStats& sketch) {
+  if (!enabled() || sketch.count == 0) return;
   std::lock_guard<std::mutex> lk(m_);
   auto& h = histograms_[name];
   if (h.name.empty()) h.name = name;
-  for (double v : values) fold_sample(h, v);
+  h.min = h.count == 0 ? sketch.min : std::min(h.min, sketch.min);
+  h.max = h.count == 0 ? sketch.max : std::max(h.max, sketch.max);
+  h.count += sketch.count;
+  h.sum += sketch.sum;
+  for (std::size_t b = 0; b < h.buckets.size(); ++b) {
+    h.buckets[b] += sketch.buckets[b];
+  }
 }
 
 void Registry::counter_track(const std::string& name,
@@ -386,8 +392,7 @@ namespace {
 thread_local Span* t_open_span = nullptr;
 }  // namespace
 
-Span::Span(const char* name) : name_(name) {
-  if (!enabled()) return;
+void Span::open() {
   active_ = true;
   parent_ = t_open_span;
   depth_ = parent_ ? parent_->depth_ + 1 : 0;
@@ -395,8 +400,7 @@ Span::Span(const char* name) : name_(name) {
   start_ns_ = Registry::instance().now_ns();
 }
 
-Span::~Span() {
-  if (!active_) return;
+void Span::close() {
   SpanRecord rec;
   rec.name = name_;
   rec.start_ns = start_ns_;

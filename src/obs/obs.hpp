@@ -49,9 +49,15 @@
 
 namespace mcrtl::obs {
 
-/// Is collection on? One relaxed atomic load; the gate every
+namespace detail {
+extern std::atomic<bool> g_enabled;
+}  // namespace detail
+
+/// Is collection on? One relaxed atomic load, inlined into the gate every
 /// instrumentation site checks first.
-bool enabled();
+inline bool enabled() {
+  return detail::g_enabled.load(std::memory_order_relaxed);
+}
 
 /// Turn collection on/off process-wide. Typically flipped once at startup
 /// (CLI `--trace-out` / `--metrics-out` / `--progress`).
@@ -141,8 +147,9 @@ class Registry {
   /// Fold one sample into the named histogram. No-op while disabled (no
   /// histogram is created, so a disabled run leaves the registry empty).
   void observe(const std::string& name, double value);
-  /// Batch form of observe(): one lock, many samples.
-  void observe_many(const std::string& name, const std::vector<double>& values);
+  /// Merge a sketch folded elsewhere (e.g. a PowerProbe's per-step energy
+  /// histogram) into the named histogram. No-op while disabled or empty.
+  void merge_histogram(const std::string& name, const HistogramStats& sketch);
 
   /// Append samples to the named counter track. No-op while disabled.
   void counter_track(const std::string& name, std::vector<TrackSample> samples);
@@ -203,10 +210,10 @@ inline void observe(const std::string& name, double value) {
   if (!enabled()) return;
   Registry::instance().observe(name, value);
 }
-inline void observe_many(const std::string& name,
-                         const std::vector<double>& values) {
+inline void merge_histogram(const std::string& name,
+                            const HistogramStats& sketch) {
   if (!enabled()) return;
-  Registry::instance().observe_many(name, values);
+  Registry::instance().merge_histogram(name, sketch);
 }
 
 /// RAII scoped timer. `name` must outlive the program (use a literal).
@@ -215,13 +222,21 @@ inline void observe_many(const std::string& name,
 /// duration to the enclosing span, which books it as child (not self) time.
 class Span {
  public:
-  explicit Span(const char* name);
-  ~Span();
+  // Inline so a disabled span costs one branch at the call site.
+  explicit Span(const char* name) : name_(name) {
+    if (enabled()) open();
+  }
+  ~Span() {
+    if (active_) close();
+  }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
+  void open();
+  void close();
+
   const char* name_;
   std::uint64_t start_ns_ = 0;
   bool active_ = false;

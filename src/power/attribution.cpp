@@ -5,6 +5,7 @@
 #include <map>
 
 #include "obs/obs.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -44,18 +45,25 @@ Attribution::Attribution(const rtl::Design& design, const TechLibrary& tech,
   const double v2 = vdd * vdd;  // fF * V^2 = fJ
 
   model_.num_domains = design.clocks.num_phases();
-  model_.period = design.clocks.period();
 
-  model_.net_fj.assign(nl.num_nets(), 0.0);
+  // Worst-case step, in exact units: every bit of every net toggling in
+  // both settles of a step, every storage element clocked, every phase
+  // pulsing. Accumulated in 128 bits so a forged range cannot wrap.
+  __extension__ typedef unsigned __int128 Wide;
+  Wide worst = 0;
+  net_fj_.assign(nl.num_nets(), 0.0);
+  model_.net_units.assign(nl.num_nets(), 0);
   model_.net_domain.assign(nl.num_nets(), 0);
   for (const auto& net : nl.nets()) {
     const std::size_t i = net.id.index();
-    model_.net_fj[i] = tech.net_cap(nl, net) * v2;
+    net_fj_[i] = tech.net_cap(nl, net) * v2;
+    model_.net_units[i] = sim::EnergyModel::units(net_fj_[i]);
+    worst += static_cast<Wide>(model_.net_units[i]) * 2 * net.width;
     const int part = nl.comp(net.driver).partition;
     model_.net_domain[i] = part > 0 ? static_cast<std::uint32_t>(part) : 0;
   }
 
-  model_.storage_clock_fj.assign(nl.num_components(), 0.0);
+  model_.storage_clock_units.assign(nl.num_components(), 0);
   model_.storage_domain.assign(nl.num_components(), 0);
   pin_fj_.assign(nl.num_components(), 0.0);
   gate_fj_.assign(nl.num_components(), 0.0);
@@ -64,7 +72,9 @@ Attribution::Attribution(const rtl::Design& design, const TechLibrary& tech,
     const std::size_t i = c.id.index();
     pin_fj_[i] = tech.storage_clock_pin_cap(c.kind) * c.width * v2;
     if (c.clock_gated) gate_fj_[i] = tech.clock_gate_event_cap() * v2;
-    model_.storage_clock_fj[i] = pin_fj_[i] + gate_fj_[i];
+    model_.storage_clock_units[i] =
+        sim::EnergyModel::units(pin_fj_[i] + gate_fj_[i]);
+    worst += static_cast<Wide>(model_.storage_clock_units[i]);
     model_.storage_domain[i] =
         c.partition > 0 ? static_cast<std::uint32_t>(c.partition) : 0;
   }
@@ -73,12 +83,19 @@ Attribution::Attribution(const rtl::Design& design, const TechLibrary& tech,
   for (const auto& c : nl.components()) {
     if (rtl::is_storage(c.kind)) ++sinks[c.clock_phase];
   }
-  model_.phase_pulse_fj.assign(
-      static_cast<std::size_t>(model_.num_domains) + 1, 0.0);
+  pulse_fj_.assign(static_cast<std::size_t>(model_.num_domains) + 1, 0.0);
+  model_.phase_pulse_units.assign(pulse_fj_.size(), 0);
   for (int p = 1; p <= model_.num_domains; ++p) {
-    model_.phase_pulse_fj[static_cast<std::size_t>(p)] =
-        tech.clock_tree_cap(sinks[p]) * v2;
+    const auto i = static_cast<std::size_t>(p);
+    pulse_fj_[i] = tech.clock_tree_cap(sinks[p]) * v2;
+    model_.phase_pulse_units[i] = sim::EnergyModel::units(pulse_fj_[i]);
+    worst += static_cast<Wide>(model_.phase_pulse_units[i]);
   }
+  MCRTL_CHECK_MSG(worst <= static_cast<Wide>(sim::EnergyModel::kMaxStepUnits),
+                  "design '" << design.style_name
+                             << "': worst-case step energy overflows the "
+                                "power probe's fixed-point accumulators");
+  model_.max_step_units = static_cast<std::int64_t>(worst);
 }
 
 AttributionReport Attribution::attribute(const sim::Activity& activity) const {
@@ -97,8 +114,7 @@ AttributionReport Attribution::attribute(const sim::Activity& activity) const {
     const std::uint64_t toggles = activity.net_toggles[net.id.index()];
     rep.total_toggles += toggles;
     if (toggles == 0) continue;
-    const double fj =
-        model_.net_fj[net.id.index()] * static_cast<double>(toggles);
+    const double fj = net_fj_[net.id.index()] * static_cast<double>(toggles);
     comp_fj[net.driver.index()] += fj;
     comp_toggles[net.driver.index()] += toggles;
     switch (nl.comp(net.driver).kind) {
@@ -155,8 +171,8 @@ AttributionReport Attribution::attribute(const sim::Activity& activity) const {
     row.op = "clock_tree";
     row.domain = p;
     row.toggles = pulses;
-    row.energy_fj = model_.phase_pulse_fj[static_cast<std::size_t>(p)] *
-                    static_cast<double>(pulses);
+    row.energy_fj =
+        pulse_fj_[static_cast<std::size_t>(p)] * static_cast<double>(pulses);
     rep.category.clock_tree_fj += row.energy_fj;
     rep.domain_fj[static_cast<std::size_t>(p)] += row.energy_fj;
     rep.total_fj += row.energy_fj;

@@ -25,12 +25,14 @@
 //    exactly one row.
 //
 // For time-resolved views, `energy_model()` exports the same weights as a
-// sim::EnergyModel, which a sim::PowerProbe folds into per-step, per-domain
-// energies while the simulator runs (see sim/power_probe.hpp) — the probe's
-// whole-run totals agree with attribute() on the same Activity to FP
-// rounding. `publish_power_tracks()` turns a probe's waveform into obs
-// counter tracks so the per-domain power shows up as counter series in the
-// Chrome trace next to the host-time spans.
+// sim::EnergyModel in exact fixed-point units (2^-20 fJ), which a
+// sim::PowerProbe accumulates per step and per domain while the simulator
+// runs (see sim/power_probe.hpp) — the probe's whole-run totals agree with
+// attribute() on the same Activity to the weights' rounding (~1e-9
+// relative). Building the model rejects a design whose worst-case step
+// would overflow the probe. `publish_power_tracks()` turns a probe's
+// waveform into obs counter tracks so the per-domain power shows up as
+// counter series in the Chrome trace next to the host-time spans.
 #pragma once
 
 #include <cstdint>
@@ -109,16 +111,20 @@ class Attribution {
  private:
   const rtl::Design* design_;
   sim::EnergyModel model_;
-  /// Storage clock energy split the probe does not need but the category
-  /// accounting does: pin (storage category) vs gate (clock_tree category),
-  /// fJ per delivered clock event, indexed by CompId.
+  /// The report's floating-point weights (the model holds them rounded to
+  /// fixed-point units): fJ per bit toggle by NetId, per clock-tree pulse by
+  /// phase, and the storage clock energy per delivered event split into pin
+  /// (storage category) and gate (clock_tree category) by CompId.
+  std::vector<double> net_fj_;
+  std::vector<double> pulse_fj_;
   std::vector<double> pin_fj_;
   std::vector<double> gate_fj_;
 };
 
 /// Publish a probe's per-domain waveform as obs counter tracks named
 /// "power.global" / "power.clk<p>" (fJ per master cycle, timestamped by
-/// step index). No-op while obs collection is disabled.
+/// step index). The probe must keep its waveform (PowerProbe::kWaveform).
+/// No-op while obs collection is disabled.
 void publish_power_tracks(const sim::PowerProbe& probe);
 
 /// Display label of a clock domain: "global" for 0, "clk<d>" otherwise.

@@ -50,9 +50,9 @@
 //    independent EventDriven run of that stream's stimulus.
 //
 // Both levelized kernels drain their worklist in one canonical order —
-// ascending level, then ascending CompId — so every counted transition of
-// a step reaches an attached PowerProbe in the same order whichever kernel
-// produced it, and per-step energies agree bit for bit.
+// ascending level, then ascending CompId. (An attached PowerProbe does not
+// depend on it: its energies are exact fixed-point sums, so per-step
+// energies agree bit for bit whatever order a kernel adds them in.)
 //
 // Time-sliced dispatch. An EventDriven run() of one long stream does not
 // step through it computation by computation: it cuts the N computations
@@ -62,7 +62,7 @@
 // segment as uncounted warm-up; a per-lane count-enable plane, ANDed into
 // every toggle diff, keeps warm-up and padding rows out of the counters.
 // The lanes' counters sum (popcount per plane) into the one Activity a
-// scalar run would return, outputs and probe rows are placed at their
+// scalar run would return, outputs and probe steps are placed at their
 // global computation/step, and the last lane's final state becomes the
 // simulator's state, so a later run() continues exactly as after a scalar
 // run.
@@ -196,11 +196,12 @@ class Simulator {
     stream_heatmaps_ = hms;
   }
 
-  /// Optional per-domain energy telemetry (the power-attribution waveform):
-  /// every counted transition is folded into `probe` with the weights of
-  /// its EnergyModel — per step and per clock domain. In BitSliced mode the
-  /// probe receives the aggregate across all lanes. Pass nullptr to detach;
-  /// no collection cost when detached, and attaching never changes results.
+  /// Optional per-domain energy telemetry (power attribution over time):
+  /// every counted transition is weighed into `probe` with its
+  /// EnergyModel — per step and per clock domain, in exact fixed-point
+  /// units. In BitSliced mode the probe receives the aggregate across all
+  /// lanes. Pass nullptr to detach; no collection cost when detached, and
+  /// attaching never changes results.
   void set_power_probe(PowerProbe* probe) { probe_ = probe; }
 
   /// Cooperative deadline: run() checks the clock once per computation

@@ -34,10 +34,21 @@
 // phase pulses are controller-driven and therefore identical across lanes
 // — they are counted once per step, scalar, weighted by the number of
 // counting lanes.
+//
+// An attached PowerProbe is fed the same way. Nets that share an energy
+// weight and a clock domain form one energy class (the suite's designs have
+// a few dozen classes against 40-90 nets), and each counted write adds its
+// per-lane sums into its class's small bit-sliced counter instead of
+// weighting every lane. When a step closes, sum_j popcount(plane_j) << j of
+// each touched class times its weight, plus the uniform clock energy, gives
+// the step's exact aggregate over the counting lanes. A time-sliced run
+// also needs each lane's own step energy, but only where it could set a new
+// peak: an upper bound (each class's largest lane count) is checked against
+// the probe's peak first, and only steps above it — or every step, when the
+// probe keeps a per-step record — unpack the counters into lane rows.
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <cstring>
+#include <map>
 #include <numeric>
 
 #include "obs/obs.hpp"
@@ -57,50 +68,37 @@ namespace {
 // A run would need ~2^42 master cycles to overflow a 64-bit-wide net.
 constexpr unsigned kCounterPlanes = 48;
 
-// Total toggle count across all lanes, read off the bit-sliced per-lane
-// sums a write just compressed: plane j holds bit j of every lane's count,
-// so the aggregate is sum_j popcount(sums[j]) << j. This is what the
-// attached PowerProbe receives in run_sliced() — the aggregate waveform is
-// the exact (integer-toggle) sum of the per-stream waveforms — and, over a
-// whole vertical counter, the time-sliced run's Activity entry.
-inline std::uint64_t lanes_total(const std::uint64_t* sums, unsigned k) {
+// Energy-class counters hold one step's per-lane toggle count of a class in
+// kClassPlanes bit-slice planes; classes are cut so the count cannot pass
+// kClassCapacity (every net bit toggling in both settles of a step), and
+// eight classes' counters fill the 64 rows of one transpose64.
+constexpr unsigned kClassPlanes = 8;
+constexpr unsigned kClassCapacity = (1u << kClassPlanes) - 1;
+constexpr std::uint32_t kNoClass = ~std::uint32_t{0};
+
+// Sum over all lanes of a bit-sliced per-lane count: plane j holds bit j of
+// every lane's count, so the aggregate is sum_j popcount(planes[j]) << j —
+// the time-sliced run's Activity entry over a whole vertical counter, and a
+// probe class's step aggregate over its step counter.
+inline std::uint64_t lanes_total(const std::uint64_t* planes, unsigned k) {
   std::uint64_t total = 0;
   for (unsigned j = 0; j < k; ++j) {
-    total += static_cast<std::uint64_t>(popcount64(sums[j])) << j;
+    total += static_cast<std::uint64_t>(popcount64(planes[j])) << j;
   }
   return total;
 }
 
-// kByteSpread[x] holds bit i of x in byte i: eight lanes' bits of one
-// count plane, spread so that eight per-lane counts add up in one word.
-constexpr std::array<std::uint64_t, 256> make_byte_spread() {
-  std::array<std::uint64_t, 256> t{};
-  for (unsigned x = 0; x < 256; ++x) {
-    for (unsigned i = 0; i < 8; ++i) {
-      t[x] |= static_cast<std::uint64_t>((x >> i) & 1) << (8 * i);
+// Largest per-lane value of a bit-sliced count: walk the planes from the
+// top, keeping only the lanes still tied for the maximum.
+inline std::uint64_t lane_max(const std::uint64_t* planes, unsigned k) {
+  std::uint64_t tied = ~std::uint64_t{0}, v = 0;
+  for (unsigned j = k; j-- > 0;) {
+    if (const std::uint64_t hit = planes[j] & tied) {
+      tied = hit;
+      v |= std::uint64_t{1} << j;
     }
   }
-  return t;
-}
-constexpr std::array<std::uint64_t, 256> kByteSpread = make_byte_spread();
-
-// acc[s] += fj * (lane s's count) for all 64 lanes, where the counts are
-// the bit-sliced sums of one write (at most 64, so one byte each). Per
-// lane this is exactly the scalar probe's `row += fj * flips` (the sim
-// sources build with -ffp-contract=off, so neither side becomes an FMA),
-// and a lane that did not toggle adds +0.0, which leaves its non-negative
-// row unchanged.
-inline void add_lane_energy(double* acc, double fj, const std::uint64_t* sums,
-                            unsigned k) {
-  std::uint8_t cnt[64];
-  for (unsigned g = 0; g < 8; ++g) {
-    std::uint64_t v = 0;
-    for (unsigned j = 0; j < k; ++j) {
-      v += kByteSpread[(sums[j] >> (8 * g)) & 0xFF] << j;
-    }
-    std::memcpy(cnt + 8 * g, &v, sizeof v);
-  }
-  for (unsigned s = 0; s < 64; ++s) acc[s] += fj * static_cast<double>(cnt[s]);
+  return v;
 }
 
 /// One bit lane of a sliced pass: pass row r replays stream row first + r;
@@ -169,6 +167,7 @@ class SlicedKernel {
         clock_events_(nl_.num_components(), 0),
         uniform_(nl_.num_nets(), 0),
         uniform_scalar_(nl_.num_nets(), 0) {
+    if (sim.probe_) build_energy_classes(sim.probe_->model());
     for (const auto& net : nl_.nets()) {
       const CompKind k = nl_.comp(net.driver).kind;
       // Controller lines and constants carry the same word in every lane,
@@ -211,30 +210,42 @@ class SlicedKernel {
   }
 
   /// Count one write's per-lane toggles (`diff` already masked to the
-  /// counting lanes) into `net`'s counter and the probe. Leaves the
-  /// compressed per-lane sums in `sums` and returns their plane count, for
-  /// callers that count them again (storage, heatmap).
+  /// counting lanes) into `net`'s counter and its probe energy class.
+  /// Leaves the compressed per-lane sums in `sums` and returns their plane
+  /// count, for callers that count them again (storage, heatmap).
   unsigned count_net(NetId net, const std::uint64_t* diff, unsigned w,
                      std::uint64_t* sums) {
     const unsigned k = slice_popcount_planes(diff, w, sums);
     bump(net_counters_.data() + net.index() * kCounterPlanes, sums, k);
-    if (PowerProbe* probe = sim_.probe_) {
-      if (time_sliced_) {
-        const EnergyModel& m = probe->model();
-        add_lane_energy(lane_fj_.data() + m.net_domain[net.index()] * 64,
-                        m.net_fj[net.index()], sums, k);
-      } else {
-        probe->add_net(net.index(), lanes_total(sums, k));
+    if (sim_.probe_) {
+      const std::uint32_t c = net_class_[net.index()];
+      if (c != kNoClass) {
+        if (!class_touched_[c]) {
+          class_touched_[c] = 1;
+          touched_.push_back(c);
+        }
+        MCRTL_CHECK_MSG(
+            slice_counter_add(class_counters_.data() + c * kClassPlanes,
+                              kClassPlanes, sums, k),
+            "energy-class counter overflow");
       }
     }
     return k;
   }
-  /// Per-lane probe energy every counting lane receives alike (a clock
-  /// event or phase pulse): `fj` into domain `domain` of every lane row.
-  void add_uniform_energy(std::uint32_t domain, double fj) {
-    double* acc = lane_fj_.data() + domain * 64;
-    for (unsigned s = 0; s < 64; ++s) acc[s] += fj;
-  }
+
+  /// Group the probe model's nets into energy classes (see the file
+  /// comment) and size the per-step probe state.
+  void build_energy_classes(const EnergyModel& m);
+  /// Clock energy one lane receives at period step t, per domain:
+  /// clock_units_[t * (n+1) + d].
+  void build_clock_units(int P, int nphases);
+  /// Close pass step (`row`, `t`) on the probe: book the counting lanes'
+  /// aggregate and hand over the lane steps it needs, then clear the class
+  /// counters.
+  void close_probe_step(int t, std::size_t row);
+  /// Exact per-lane, per-domain energy of the step into lane_rows_, and
+  /// every counting lane's step handed to the probe.
+  void close_lane_steps(int t, std::size_t row);
 
   /// Write `val` planes (masked to the active lanes) into `net`: commit,
   /// dirty the fanout, count the counting lanes' toggles. The generic path
@@ -256,7 +267,7 @@ class SlicedKernel {
     if (any == 0) return;
     sim_.mark_fanout_dirty(net);
     if (counted != 0) {
-      std::uint64_t sums[7];
+      std::uint64_t sums[kClassPlanes];  // <= 7 used (64-bit nets)
       count_net(net, diff, w, sums);
     }
   }
@@ -305,7 +316,18 @@ class SlicedKernel {
   std::uint64_t steps_ = 0;                      // counted steps
   std::vector<std::uint64_t> heat_counters_;     // (phase x step) vertical
   std::vector<std::uint64_t> heat_clock_;        // scalar clock edges / cell
-  std::vector<double> lane_fj_;  // time-sliced probe rows: domain x 64 lanes
+  // Attached probe only: energy classes (by NetId; kNoClass = no energy),
+  // their weights, domains and step counters, the classes counted this
+  // step, and the per-step scratch rows.
+  std::vector<std::uint32_t> net_class_;
+  std::vector<std::int64_t> class_units_;
+  std::vector<std::uint32_t> class_domain_;
+  std::vector<std::uint64_t> class_counters_;  // classes x kClassPlanes
+  std::vector<std::uint8_t> class_touched_;
+  std::vector<std::uint32_t> touched_;
+  std::vector<std::int64_t> clock_units_;  // (P+1) x (n+1)
+  std::vector<std::int64_t> agg_;          // n+1: counting lanes' step sum
+  std::vector<std::int64_t> lane_rows_;    // (n+1) x 64 lanes
   std::vector<std::uint8_t> uniform_;            // by NetId
   std::vector<std::uint64_t> uniform_scalar_;    // by NetId, uniform nets only
   std::vector<std::uint64_t> capture_buf_;       // D planes, read-before-write
@@ -609,14 +631,8 @@ void SlicedKernel::run(const std::vector<dfg::ValueId>& input_order,
     heat_clock_.assign(static_cast<std::size_t>(nphases) * P, 0);
   }
   if (probe) {
-    if (time_sliced_) {
-      std::size_t counted = 0;
-      for (const auto& l : lanes_) counted += l.count;
-      probe->begin_steps(counted * static_cast<std::size_t>(P));
-      lane_fj_.assign(static_cast<std::size_t>(nphases + 1) * 64, 0.0);
-    } else {
-      probe->reset();  // one probe record per batch
-    }
+    probe->reset();  // one probe record per run or batch
+    build_clock_units(P, nphases);
   }
 
   // An edge only needs the read-all-D-before-any-Q staging buffer when a
@@ -703,19 +719,6 @@ void SlicedKernel::run(const std::vector<dfg::ValueId>& input_order,
       if (!heat_clock_.empty()) {
         heat_clock_[cell] += clocked.size() * event_weight_;
       }
-      // Clock delivery is controller-driven and identical in every lane.
-      if (probe && time_sliced_) {
-        const EnergyModel& m = probe->model();
-        add_uniform_energy(static_cast<std::uint32_t>(phase),
-                           m.phase_pulse_fj[static_cast<std::size_t>(phase)]);
-        for (CompId cid : clocked) {
-          add_uniform_energy(m.storage_domain[cid.index()],
-                             m.storage_clock_fj[cid.index()]);
-        }
-      } else if (probe) {
-        probe->add_phase_pulse(phase, n_);
-        for (CompId cid : clocked) probe->add_storage_clock(cid.index(), n_);
-      }
 
       // Captures commit simultaneously: when an edge chains registers,
       // stage every D input before any Q output changes.
@@ -748,7 +751,7 @@ void SlicedKernel::run(const std::vector<dfg::ValueId>& input_order,
         if (any == 0) continue;
         sim_.mark_fanout_dirty(c.output);
         if (counted == 0) continue;
-        std::uint64_t sums[7];
+        std::uint64_t sums[kClassPlanes];  // <= 7 used (64-bit nets)
         const unsigned k = count_net(c.output, diff, c.width, sums);
         bump(storage_counters_.data() + cid.index() * kCounterPlanes, sums, k);
         if (!heat_counters_.empty()) {
@@ -757,21 +760,146 @@ void SlicedKernel::run(const std::vector<dfg::ValueId>& input_order,
       }
       settle();
       steps_ += event_weight_;
-      if (probe && time_sliced_) {
-        // Each counting lane's row is one global step of the stream.
-        for (std::size_t s = 0; s < n_; ++s) {
-          if ((count_mask_ >> s & 1) == 0) continue;
-          probe->set_step_row((lanes_[s].first + row) * P + (t - 1),
-                              lane_fj_.data() + s, 64);
-        }
-        std::fill(lane_fj_.begin(), lane_fj_.end(), 0.0);
-      } else if (probe) {
-        probe->end_step(t);
-      }
+      if (probe) close_probe_step(t, row);
       if (t == T) sample_outputs(row, out_storage);
     }
   }
-  if (probe && time_sliced_) probe->fold_profile();
+}
+
+void SlicedKernel::build_energy_classes(const EnergyModel& m) {
+  net_class_.assign(nl_.num_nets(), kNoClass);
+  // (weight, domain) -> the class of that key still taking nets, and the
+  // worst-case step count each class has committed so far.
+  std::map<std::pair<std::int64_t, std::uint32_t>, std::uint32_t> open;
+  std::vector<unsigned> load;
+  for (const auto& net : nl_.nets()) {
+    const std::size_t i = net.id.index();
+    if (m.net_units[i] == 0) continue;
+    const unsigned need = 2 * net.width;  // both settles of a step
+    const auto next = static_cast<std::uint32_t>(load.size());
+    auto [it, fresh] =
+        open.try_emplace({m.net_units[i], m.net_domain[i]}, next);
+    if (!fresh && load[it->second] + need > kClassCapacity) {
+      it->second = next;
+      fresh = true;
+    }
+    if (fresh) {
+      load.push_back(0);
+      class_units_.push_back(m.net_units[i]);
+      class_domain_.push_back(m.net_domain[i]);
+    }
+    net_class_[i] = it->second;
+    load[it->second] += need;
+  }
+  class_counters_.assign(load.size() * kClassPlanes, 0);
+  class_touched_.assign(load.size(), 0);
+  agg_.assign(static_cast<std::size_t>(m.num_domains) + 1, 0);
+  lane_rows_.assign(agg_.size() * 64, 0);
+}
+
+void SlicedKernel::build_clock_units(int P, int nphases) {
+  const EnergyModel& m = sim_.probe_->model();
+  const std::size_t D = static_cast<std::size_t>(nphases) + 1;
+  clock_units_.assign((static_cast<std::size_t>(P) + 1) * D, 0);
+  for (int t = 1; t <= P; ++t) {
+    std::int64_t* clock = clock_units_.data() + static_cast<std::size_t>(t) * D;
+    const int phase = sim_.phase_by_step_[static_cast<std::size_t>(t)];
+    clock[static_cast<std::size_t>(phase)] +=
+        m.phase_pulse_units[static_cast<std::size_t>(phase)];
+    for (CompId cid : sim_.edge_clock_events_[static_cast<std::size_t>(t)]) {
+      clock[m.storage_domain[cid.index()]] +=
+          m.storage_clock_units[cid.index()];
+    }
+  }
+}
+
+void SlicedKernel::close_probe_step(int t, std::size_t row) {
+  PowerProbe& probe = *sim_.probe_;
+  const std::size_t D = agg_.size();
+  const std::int64_t* clock =
+      clock_units_.data() + static_cast<std::size_t>(t) * D;
+  const auto counting = static_cast<std::int64_t>(popcount64(count_mask_));
+  // Aggregate over the counting lanes and, when lane steps are only needed
+  // for the peak, a bound no lane's step exceeds.
+  const bool bounded = time_sliced_ && !probe.per_step();
+  std::int64_t bound = 0;
+  for (std::size_t d = 0; d < D; ++d) {
+    agg_[d] = clock[d] * counting;
+    bound += clock[d];
+  }
+  for (std::uint32_t c : touched_) {
+    const std::uint64_t* ctr = class_counters_.data() + c * kClassPlanes;
+    const std::int64_t w = class_units_[c];
+    agg_[class_domain_[c]] +=
+        w * static_cast<std::int64_t>(lanes_total(ctr, kClassPlanes));
+    if (bounded) {
+      bound += w * static_cast<std::int64_t>(lane_max(ctr, kClassPlanes));
+    }
+  }
+  if (!time_sliced_) {
+    // run_sliced(): one probe step, the aggregate of every stream.
+    probe.book(agg_.data(), 1);
+    probe.close_step(probe.steps() - 1,
+                     std::accumulate(agg_.begin(), agg_.end(), std::int64_t{0}),
+                     agg_.data(), 1);
+  } else {
+    probe.book(agg_.data(), static_cast<std::size_t>(counting));
+    if (!bounded || bound > probe.peak_units()) close_lane_steps(t, row);
+  }
+  for (std::uint32_t c : touched_) {
+    std::fill_n(class_counters_.data() + c * kClassPlanes, kClassPlanes, 0);
+    class_touched_[c] = 0;
+  }
+  touched_.clear();
+}
+
+void SlicedKernel::close_lane_steps(int t, std::size_t row) {
+  PowerProbe& probe = *sim_.probe_;
+  const std::size_t D = agg_.size();
+  const std::int64_t* clock =
+      clock_units_.data() + static_cast<std::size_t>(t) * D;
+  // Per-domain lane rows only for a kept waveform; otherwise every class
+  // and the clock land in row 0, the lanes' whole-design totals.
+  const bool by_domain = probe.keeps_waveform();
+  const std::size_t rows = by_domain ? D : 1;
+  for (std::size_t d = 0; d < rows; ++d) {
+    const std::int64_t uniform =
+        by_domain ? clock[d]
+                  : std::accumulate(clock, clock + D, std::int64_t{0});
+    std::fill_n(lane_rows_.data() + d * 64, 64, uniform);
+  }
+  // Eight classes per transpose: afterwards byte i of buf[s] is lane s's
+  // count of the group's i-th class.
+  for (std::size_t g = 0; g < touched_.size(); g += 8) {
+    const std::size_t group = std::min<std::size_t>(8, touched_.size() - g);
+    std::uint64_t buf[64] = {};
+    for (std::size_t i = 0; i < group; ++i) {
+      std::copy_n(class_counters_.data() + touched_[g + i] * kClassPlanes,
+                  kClassPlanes, buf + i * kClassPlanes);
+    }
+    transpose64(buf);
+    for (std::size_t i = 0; i < group; ++i) {
+      const std::uint32_t c = touched_[g + i];
+      const std::int64_t w = class_units_[c];
+      std::int64_t* lane =
+          lane_rows_.data() + (by_domain ? class_domain_[c] : 0) * 64;
+      for (std::uint64_t m = count_mask_; m != 0; m &= m - 1) {
+        const auto s = static_cast<unsigned>(std::countr_zero(m));
+        lane[s] += w * static_cast<std::int64_t>(
+                           (buf[s] >> (i * kClassPlanes)) & kClassCapacity);
+      }
+    }
+  }
+  const auto P = static_cast<std::size_t>(design_.clocks.period());
+  for (std::uint64_t m = count_mask_; m != 0; m &= m - 1) {
+    const auto s = static_cast<unsigned>(std::countr_zero(m));
+    std::int64_t total = 0;
+    for (std::size_t d = 0; d < rows; ++d) total += lane_rows_[d * 64 + s];
+    // Each counting lane's step is one global step of the stream.
+    const std::size_t step =
+        (lanes_[s].first + row) * P + static_cast<std::size_t>(t - 1);
+    probe.close_step(step, total, lane_rows_.data() + s, 64);
+  }
 }
 
 std::vector<SimResult> SlicedKernel::stream_results() {

@@ -1,6 +1,6 @@
 #include "util/fault_injection.hpp"
 
-#include <cstdlib>
+#include "util/strings.hpp"
 
 namespace mcrtl::fault {
 
@@ -145,14 +145,19 @@ bool arm_from_spec(const std::string& spec) {
     arm.mode = ArmSpec::Mode::Always;
   } else if (mode == "first" && parts.size() == 3) {
     arm.mode = ArmSpec::Mode::FirstK;
-    arm.k = std::strtoull(parts[2].c_str(), nullptr, 10);
-    if (arm.k == 0) return false;
+    unsigned long long k = 0;
+    if (!parse_uint(parts[2], k) || k == 0) return false;
+    arm.k = k;
   } else if (mode == "p" && (parts.size() == 3 || parts.size() == 4)) {
     arm.mode = ArmSpec::Mode::Probability;
-    arm.probability = std::strtod(parts[2].c_str(), nullptr);
-    if (arm.probability < 0.0 || arm.probability > 1.0) return false;
+    if (!parse_double(parts[2], arm.probability) || arm.probability < 0.0 ||
+        arm.probability > 1.0) {
+      return false;
+    }
+    unsigned long long seed = 0;
     if (parts.size() == 4) {
-      arm.seed = std::strtoull(parts[3].c_str(), nullptr, 10);
+      if (!parse_uint(parts[3], seed)) return false;
+      arm.seed = seed;
     }
   } else {
     return false;

@@ -1,6 +1,9 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -59,6 +62,41 @@ std::string sanitize_identifier(const std::string& s) {
 
 std::string format_fixed(double v, int digits) {
   return str_format("%.*f", digits, v);
+}
+
+namespace {
+// strtoll and friends skip leading blanks and accept a partial token; a
+// checked parse starts at a digit, sign or dot and must consume everything.
+bool starts_number(const std::string& t) {
+  return !t.empty() && !std::isspace(static_cast<unsigned char>(t[0]));
+}
+}  // namespace
+
+bool parse_int(const std::string& token, long long& out, int base) {
+  if (!starts_number(token)) return false;
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoll(token.c_str(), &end, base);
+  return errno == 0 && end == token.c_str() + token.size();
+}
+
+bool parse_uint(const std::string& token, unsigned long long& out) {
+  if (!starts_number(token) || token[0] == '-' || token[0] == '+') {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoull(token.c_str(), &end, 10);
+  return errno == 0 && end == token.c_str() + token.size();
+}
+
+bool parse_double(const std::string& token, double& out) {
+  if (!starts_number(token)) return false;
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtod(token.c_str(), &end);
+  return errno == 0 && end == token.c_str() + token.size() &&
+         std::isfinite(out);
 }
 
 }  // namespace mcrtl

@@ -5,18 +5,23 @@
 // waveform's one-active-partition signature.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/synthesizer.hpp"
+#include "dfg/random_graph.hpp"
 #include "obs/obs.hpp"
 #include "power/attribution.hpp"
 #include "power/estimator.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "suite/benchmarks.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace mcrtl::power {
@@ -200,7 +205,7 @@ TEST(AttributionTest, MultiClockWaveformIsBlockDiagonal) {
   opts.num_clocks = 3;
   const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
   Attribution attr(*syn.design, tech);
-  sim::PowerProbe probe(attr.energy_model());
+  sim::PowerProbe probe(attr.energy_model(), sim::PowerProbe::kWaveform);
   sim::Simulator s(*syn.design);
   s.set_power_probe(&probe);
   Rng rng(7);
@@ -224,6 +229,147 @@ TEST(AttributionTest, MultiClockWaveformIsBlockDiagonal) {
   // fraction of partition energy; a design without isolation would spread
   // evaluation glitches across all partitions every step.
   EXPECT_LT(off_diagonal, 0.10 * partition_total);
+}
+
+// --- exact fixed-point units ---------------------------------------------
+
+// A hand-built model driven through the probe's scalar hooks: every step's
+// energy, the totals and the crest follow from integer arithmetic alone.
+TEST(AttributionTest, HandComputedCrestInIntegerUnits) {
+  sim::EnergyModel m;
+  m.num_domains = 2;
+  m.net_units = {3, 5};  // net 0 in domain 1, net 1 in domain 2
+  m.net_domain = {1, 2};
+  m.storage_clock_units = {2};
+  m.storage_domain = {2};
+  m.phase_pulse_units = {0, 7, 11};
+  m.max_step_units = 2 * 3 + 2 * 5 + 2 + 7 + 11;
+  sim::PowerProbe probe(m, sim::PowerProbe::kWaveform |
+                               sim::PowerProbe::kStepHistogram);
+  // Step 0: net 0 flips twice, phase 1 pulses      -> 2*3 + 7      = 13.
+  probe.add_net(0, 2);
+  probe.add_phase_pulse(1);
+  probe.end_step();
+  // Step 1: net 1 flips once, storage clocks, phase 2 -> 5 + 2 + 11 = 18.
+  probe.add_net(1, 1);
+  probe.add_storage_clock(0);
+  probe.add_phase_pulse(2);
+  probe.end_step();
+  // Step 2: phase 1 pulses only                    -> 7.
+  probe.add_phase_pulse(1);
+  probe.end_step();
+
+  const double unit = 1.0 / sim::EnergyModel::kUnitsPerFj;
+  ASSERT_EQ(probe.steps(), 3u);
+  EXPECT_EQ(probe.step_fj(0, 1), 13 * unit);
+  EXPECT_EQ(probe.step_fj(1, 2), 18 * unit);
+  EXPECT_EQ(probe.step_fj(2, 1), 7 * unit);
+  EXPECT_EQ(probe.domain_total_fj(0), 0.0);
+  EXPECT_EQ(probe.domain_total_fj(1), (6 + 7 + 7) * unit);
+  EXPECT_EQ(probe.domain_total_fj(2), (5 + 2 + 11) * unit);
+  EXPECT_EQ(probe.total_fj(), 38 * unit);
+  // peak / mean = 18 / (38 / 3).
+  EXPECT_EQ(probe.crest(), 18.0 / (38.0 / 3.0));
+  const auto h = probe.step_histogram();
+  EXPECT_EQ(h.count, 3u);
+  EXPECT_EQ(h.min, 7 * unit);
+  EXPECT_EQ(h.max, 18 * unit);
+  EXPECT_EQ(h.sum, 38 * unit);
+
+  // The probe resets per run; a bare probe keeps no per-step record.
+  sim::PowerProbe bare(m);
+  EXPECT_FALSE(bare.keeps_waveform());
+  EXPECT_THROW(bare.step_histogram(), Error);
+  EXPECT_EQ(bare.crest(), 0.0);
+}
+
+// Every bit of every net toggling in both settles of every step, every
+// storage element clocked and every phase pulsing: the model's worst-case
+// step. The widest designs (64-bit suite datapaths, a large random DFG)
+// must fit it — with room for a 64-lane aggregate — and the accumulators
+// must carry it exactly over many steps.
+TEST(AttributionTest, WidestDesignsWorstCaseStepFitsTheAccumulators) {
+  const TechLibrary tech = TechLibrary::cmos08();
+  std::int64_t worst = 0;
+  auto check = [&](const rtl::Design& design, const std::string& what) {
+    SCOPED_TRACE(what);
+    const Attribution attr(design, tech);
+    const sim::EnergyModel& m = attr.energy_model();
+    ASSERT_GT(m.max_step_units, 0);
+    ASSERT_LE(m.max_step_units, sim::EnergyModel::kMaxStepUnits);
+    EXPECT_LE(m.max_step_units,
+              std::numeric_limits<std::int64_t>::max() /
+                  static_cast<std::int64_t>(sim::Simulator::kMaxStreams));
+    const rtl::Netlist& nl = design.netlist;
+    sim::PowerProbe probe(m);
+    constexpr std::size_t kSteps = 1000;
+    for (std::size_t step = 0; step < kSteps; ++step) {
+      for (const auto& net : nl.nets()) {
+        probe.add_net(net.id.index(), 2 * net.width);
+      }
+      for (const auto& c : nl.components()) {
+        if (rtl::is_storage(c.kind)) probe.add_storage_clock(c.id.index());
+      }
+      for (int p = 1; p <= m.num_domains; ++p) probe.add_phase_pulse(p);
+      probe.end_step();
+    }
+    // Exact in units; the double views round once (a wrapped accumulator
+    // would be off by orders of magnitude).
+    EXPECT_DOUBLE_EQ(probe.crest(), 1.0);
+    EXPECT_DOUBLE_EQ(probe.total_fj(),
+                     static_cast<double>(m.max_step_units) * kSteps /
+                         sim::EnergyModel::kUnitsPerFj);
+    worst = std::max(worst, m.max_step_units);
+  };
+  for (const auto& name : suite::all_names()) {
+    const auto b = suite::by_name(name, 64);
+    for (const auto& [style, clocks] :
+         {std::pair{DesignStyle::ConventionalNonGated, 1},
+          std::pair{DesignStyle::MultiClock, 4}}) {
+      core::SynthesisOptions opts;
+      opts.style = style;
+      opts.num_clocks = clocks;
+      const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+      check(*syn.design, name + " clocks=" + std::to_string(clocks));
+    }
+  }
+  Rng rng(64);
+  dfg::RandomGraphConfig rc;
+  rc.num_inputs = 8;
+  rc.num_nodes = 512;
+  rc.width = 64;
+  const dfg::Graph g = dfg::random_graph(rng, rc);
+  dfg::ResourceLimits limits;
+  limits.default_limit = 4;
+  const dfg::Schedule sched = dfg::schedule_list(g, limits);
+  core::SynthesisOptions opts;
+  opts.style = DesignStyle::MultiClock;
+  opts.num_clocks = 4;
+  check(*core::synthesize(g, sched, opts).design, "random 512 nodes w64");
+  std::printf("widest worst-case step: %.3g fJ, %.1f%% of the range\n",
+              static_cast<double>(worst) / sim::EnergyModel::kUnitsPerFj,
+              100.0 * static_cast<double>(worst) /
+                  static_cast<double>(sim::EnergyModel::kMaxStepUnits));
+}
+
+TEST(AttributionTest, OverRangeEnergyModelsAreRejected) {
+  const auto b = suite::facet(64);
+  core::SynthesisOptions opts;
+  opts.style = DesignStyle::MultiClock;
+  opts.num_clocks = 2;
+  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+  const TechLibrary tech = TechLibrary::cmos08();
+  // A supply of 10 kV makes every weight ~5e6 times larger: the worst-case
+  // step no longer fits, and the model is rejected at build.
+  EXPECT_THROW(Attribution(*syn.design, tech, 1e4), Error);
+  // A weight past the fixed-point range is rejected on conversion.
+  EXPECT_THROW(sim::EnergyModel::units(1e30), Error);
+  EXPECT_THROW(sim::EnergyModel::units(-1.0), Error);
+  // A hand-forged model whose worst-case step overflows a 64-lane
+  // aggregate is refused by the probe.
+  sim::EnergyModel forged = Attribution(*syn.design, tech).energy_model();
+  forged.max_step_units = sim::EnergyModel::kMaxStepUnits + 1;
+  EXPECT_THROW(sim::PowerProbe probe(forged), Error);
 }
 
 // --- report surfaces ------------------------------------------------------
@@ -278,7 +424,9 @@ TEST(AttributionTest, DisabledObsCollectsNothing) {
   opts.num_clocks = 2;
   const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
   Attribution attr(*syn.design, tech);
-  sim::PowerProbe probe(attr.energy_model());
+  sim::PowerProbe probe(
+      attr.energy_model(),
+      sim::PowerProbe::kWaveform | sim::PowerProbe::kStepHistogram);
   sim::Simulator s(*syn.design);
   s.set_power_probe(&probe);
   Rng rng(3);
@@ -287,13 +435,13 @@ TEST(AttributionTest, DisabledObsCollectsNothing) {
   s.run(stream, b.graph->inputs(), b.graph->outputs());
 
   publish_power_tracks(probe);
-  obs::observe_many("power.step_fj", probe.step_energies());
+  obs::merge_histogram("power.step_fj", probe.step_histogram());
   EXPECT_TRUE(obs::Registry::instance().counter_tracks().empty());
   EXPECT_TRUE(obs::Registry::instance().histograms().empty());
 
   obs::set_enabled(true);
   publish_power_tracks(probe);
-  obs::observe_many("power.step_fj", probe.step_energies());
+  obs::merge_histogram("power.step_fj", probe.step_histogram());
   EXPECT_EQ(obs::Registry::instance().counter_tracks().size(),
             static_cast<std::size_t>(probe.num_domains()) + 1);
   EXPECT_EQ(obs::Registry::instance().histograms().size(), 1u);

@@ -266,6 +266,20 @@ TEST_F(FaultInjectionTest, ArmFromSpecParsesAndValidates) {
   EXPECT_FALSE(fault::arm_from_spec("sim.run:p:1.5"));
 }
 
+// Spec numbers parse checked: a token with trailing junk, a sign, or a
+// value past its type's range is rejected, not truncated.
+TEST_F(FaultInjectionTest, ArmFromSpecRejectsPartialNumbers) {
+  EXPECT_FALSE(fault::arm_from_spec("sim.run:first:2junk"));
+  EXPECT_FALSE(fault::arm_from_spec("sim.run:first:-1"));
+  EXPECT_FALSE(fault::arm_from_spec("sim.run:first: 2"));
+  EXPECT_FALSE(fault::arm_from_spec("sim.run:first:99999999999999999999999"));
+  EXPECT_FALSE(fault::arm_from_spec("sim.run:p:0.5x"));
+  EXPECT_FALSE(fault::arm_from_spec("sim.run:p:nan"));
+  EXPECT_FALSE(fault::arm_from_spec("sim.run:p:0.5:7x"));
+  EXPECT_TRUE(fault::arm_from_spec("sim.run:first:2"));
+  EXPECT_TRUE(fault::arm_from_spec("sim.run:p:1e-1:18446744073709551615"));
+}
+
 TEST_F(FaultInjectionTest, HitCountsAndResetBehave) {
   fault::set_enabled(true);
   fault::inject("sim.run", "detail");

@@ -191,6 +191,49 @@ TEST_F(ObsTest, WorkerUtilizationIsAtMostOneAndSelfTimeSumsToBusy) {
   EXPECT_NEAR(self_total, busy_total, 1e-6 * busy_total);
 }
 
+// Per-point set-up has its own spans inside explore.point: the simulator
+// build, the attribution model and report, and the power/area estimates.
+// They nest (so busy time still equals summed self time), and the traced
+// probe's per-step energy histogram covers exactly the simulated steps.
+TEST_F(ObsTest, PointSetUpSpansNestInsideExplorePoint) {
+  const auto b = suite::by_name("hal", 4);
+  obs::set_enabled(true);
+  const auto r = core::explore(*b.graph, *b.schedule, small_config(2));
+  std::map<std::string, std::uint64_t> count;
+  std::map<int, std::uint64_t> self_ns, busy_ns;
+  for (const auto& s : obs::Registry::instance().spans()) {
+    ++count[s.name];
+    self_ns[s.lane] += s.self_ns();
+    if (s.depth == 0) busy_ns[s.lane] += s.dur_ns;
+    const std::string name = s.name;
+    if (name == "sim.build" || name == "power.attribution" ||
+        name == "power.estimate") {
+      EXPECT_GE(s.depth, 1) << name << " outside explore.point";
+    }
+  }
+  EXPECT_EQ(self_ns, busy_ns);
+  const std::uint64_t points = count["explore.point"];
+  ASSERT_GT(points, 0u);
+  EXPECT_EQ(count["sim.build"], points);
+  // Model build and report, per point.
+  EXPECT_EQ(count["power.attribution"], 2 * points);
+  // estimate_power and estimate_area, per point.
+  EXPECT_EQ(count["power.estimate"], 2 * points);
+  std::uint64_t steps = 0;
+  for (const auto& [name, v] : obs::Registry::instance().counters()) {
+    if (name == "sim.steps") steps = v;
+  }
+  bool found = false;
+  for (const auto& h : obs::Registry::instance().histograms()) {
+    if (h.name != "power.step_fj") continue;
+    found = true;
+    EXPECT_EQ(h.count, steps);
+    EXPECT_GT(h.sum, 0.0);
+  }
+  EXPECT_TRUE(found);
+  EXPECT_FALSE(r.points.empty());
+}
+
 // An instrumented parallel exploration must produce valid Chrome
 // trace-event JSON covering the pipeline phases, with per-worker lanes.
 TEST_F(ObsTest, ChromeTraceCoversPipelinePhasesAndWorkerLanes) {
@@ -363,17 +406,28 @@ TEST_F(ObsTest, HistogramBucketsAndPercentiles) {
   EXPECT_EQ(root.at("histograms").at("lat").at("count").number, 100);
 }
 
-TEST_F(ObsTest, ObserveManyMatchesRepeatedObserve) {
+// A sketch folded elsewhere (a PowerProbe's step histogram) merges into
+// the registry exactly as if its samples had been observed one by one.
+TEST_F(ObsTest, MergedHistogramMatchesRepeatedObserve) {
   obs::set_enabled(true);
-  obs::observe_many("a", {1.0, 5.0, 9.0, 700.0});
-  obs::observe("b", 1.0);
-  obs::observe("b", 5.0);
-  obs::observe("b", 9.0);
-  obs::observe("b", 700.0);
+  auto sketch_of = [](std::initializer_list<double> values) {
+    obs::Registry::instance().reset();
+    for (double v : values) obs::observe("x", v);
+    return obs::Registry::instance().histograms().at(0);
+  };
+  const obs::HistogramStats low = sketch_of({1.0, 5.0});
+  const obs::HistogramStats high = sketch_of({9.0, 700.0});
+  obs::Registry::instance().reset();
+  for (double v : {1.0, 5.0, 9.0, 700.0}) obs::observe("b", v);
+  obs::merge_histogram("a", high);
+  obs::merge_histogram("a", low);
+  obs::merge_histogram("a", obs::HistogramStats{});  // empty: no-op
   const auto hists = obs::Registry::instance().histograms();
   ASSERT_EQ(hists.size(), 2u);
   EXPECT_EQ(hists[0].count, hists[1].count);
   EXPECT_DOUBLE_EQ(hists[0].sum, hists[1].sum);
+  EXPECT_EQ(hists[0].min, hists[1].min);
+  EXPECT_EQ(hists[0].max, hists[1].max);
   EXPECT_EQ(hists[0].buckets, hists[1].buckets);
 }
 

@@ -1,9 +1,11 @@
 // Correctness spine of the time-sliced run(): one stream cut into lane
 // segments and simulated in one bit-sliced pass must be indistinguishable
 // from the scalar EventDriven run of the same stream — outputs, the full
-// Activity record, the PhaseHeatmap and the end state bit for bit, the
-// PowerProbe waveform to 1e-12 per step (and, in fact, bit for bit: both
-// kernels deliver a step's transitions in one canonical order). The scalar
+// Activity record, the PhaseHeatmap and the end state bit for bit, and the
+// PowerProbe's waveform, domain totals, step histogram and crest bit for
+// bit too (probe energy is exact fixed-point, so summation order cannot
+// matter) — crest both with every per-step record kept and with none, the
+// bound-pruned path explore() runs. The scalar
 // reference is forced through testing::ScopedTimeSlicedThreshold, the
 // seam that also forces the time-sliced side below its dispatch
 // threshold. Covered: every suite benchmark x design styles x clock counts
@@ -97,9 +99,11 @@ std::vector<StyleCase> styles() {
 struct Observed {
   SimResult result;
   PhaseHeatmap heatmap;
-  std::vector<double> waveform;  // steps x (domains + 1)
-  std::vector<double> profile;   // (domains + 1) x period
-  double crest = 0.0;
+  std::vector<double> waveform;       // steps x (domains + 1)
+  std::vector<double> domain_totals;  // domains + 1
+  obs::HistogramStats histogram;
+  double crest = 0.0;       // probe keeping every per-step record
+  double bare_crest = 0.0;  // probe keeping none, as explore() attaches it
   std::uint64_t settles = 0;
   std::vector<std::vector<std::uint64_t>> follow_up;
 };
@@ -114,7 +118,8 @@ Observed observe(const rtl::Design& design, const dfg::Graph& graph,
   Simulator sim(design);
   const power::Attribution attribution(design, power::TechLibrary::cmos08(),
                                        power::PowerParams{}.vdd);
-  PowerProbe probe(attribution.energy_model());
+  PowerProbe probe(attribution.energy_model(),
+                   PowerProbe::kWaveform | PowerProbe::kStepHistogram);
   sim.set_heatmap(&o.heatmap);
   sim.set_power_probe(&probe);
   sim.set_computation_budget(budget);
@@ -126,11 +131,19 @@ Observed observe(const rtl::Design& design, const dfg::Graph& graph,
     }
   }
   for (int d = 0; d <= probe.num_domains(); ++d) {
-    for (int t = 1; t <= probe.period(); ++t) {
-      o.profile.push_back(probe.profile_fj(d, t));
-    }
+    o.domain_totals.push_back(probe.domain_total_fj(d));
   }
+  o.histogram = probe.step_histogram();
   o.crest = probe.crest();
+  {
+    Simulator bare(design);
+    PowerProbe bare_probe(attribution.energy_model());
+    bare.set_power_probe(&bare_probe);
+    bare.set_computation_budget(budget);
+    bare.run(stream, graph.inputs(), graph.outputs());
+    o.bare_crest = bare_probe.crest();
+    EXPECT_EQ(bare_probe.total_fj(), probe.total_fj());
+  }
   sim.set_computation_budget(0);
   sim.set_heatmap(nullptr);
   sim.set_power_probe(nullptr);
@@ -139,15 +152,6 @@ Observed observe(const rtl::Design& design, const dfg::Graph& graph,
   });
   sim.run(follow, graph.inputs(), graph.outputs());
   return o;
-}
-
-void expect_close(const std::vector<double>& a, const std::vector<double>& b,
-                  const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double tol = 1e-12 * std::max(std::abs(a[i]), std::abs(b[i]));
-    ASSERT_LE(std::abs(a[i] - b[i]), tol) << what << " entry " << i;
-  }
 }
 
 void expect_same(const Observed& sliced, const Observed& scalar,
@@ -166,9 +170,16 @@ void expect_same(const Observed& sliced, const Observed& scalar,
   EXPECT_EQ(sliced.heatmap.write_toggles, scalar.heatmap.write_toggles)
       << what;
   EXPECT_EQ(sliced.heatmap.clock_events, scalar.heatmap.clock_events) << what;
-  expect_close(sliced.waveform, scalar.waveform, what + " waveform");
-  expect_close(sliced.profile, scalar.profile, what + " profile");
+  EXPECT_EQ(sliced.waveform, scalar.waveform) << what << " waveform";
+  EXPECT_EQ(sliced.domain_totals, scalar.domain_totals) << what;
+  EXPECT_EQ(sliced.histogram.count, scalar.histogram.count) << what;
+  EXPECT_EQ(sliced.histogram.buckets, scalar.histogram.buckets) << what;
+  EXPECT_EQ(sliced.histogram.min, scalar.histogram.min) << what;
+  EXPECT_EQ(sliced.histogram.max, scalar.histogram.max) << what;
+  EXPECT_EQ(sliced.histogram.sum, scalar.histogram.sum) << what;
   EXPECT_EQ(sliced.crest, scalar.crest) << what;
+  EXPECT_EQ(sliced.bare_crest, scalar.crest) << what << " bare probe";
+  EXPECT_EQ(scalar.bare_crest, scalar.crest) << what << " bare probe";
   EXPECT_EQ(sliced.follow_up, scalar.follow_up) << what << " end state";
 }
 

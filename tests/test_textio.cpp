@@ -6,6 +6,8 @@
 #include "dfg/textio.hpp"
 #include "util/error.hpp"
 
+#include <string>
+
 namespace mcrtl::dfg {
 namespace {
 
@@ -84,6 +86,52 @@ TEST(TextIoTest, RejectsMissingHeader) {
 TEST(TextIoTest, RejectsBadWidth) {
   EXPECT_THROW(parse_dfg("graph g width 99\n"), Error);
   EXPECT_THROW(parse_dfg("graph g width 0\n"), Error);
+}
+
+// Numbers parse checked: the whole token, in range, or a parse error that
+// names the field and the line.
+void expect_parse_error(const std::string& text, int line,
+                        const std::string& field) {
+  try {
+    parse_dfg(text);
+    FAIL() << "accepted: " << text;
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("dfg parse error"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("line " + std::to_string(line)), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(field), std::string::npos) << msg;
+  }
+}
+
+TEST(TextIoTest, RejectsTrailingJunkInWidth) {
+  expect_parse_error("graph g width 8junk\ninput a\nnode n = neg a\noutput n\n",
+                     1, "width");
+}
+
+TEST(TextIoTest, RejectsTrailingJunkInStep) {
+  expect_parse_error(
+      "graph g width 8\ninput a\nnode n = add a a @ 1xyz\noutput n\n", 3,
+      "step");
+}
+
+TEST(TextIoTest, RejectsSaturatingConstant) {
+  expect_parse_error(
+      "graph g width 8\ninput a\nconst c = 99999999999999999999999\n"
+      "node n = add a c\noutput n\n",
+      3, "constant value");
+}
+
+TEST(TextIoTest, RejectsStepOutsideIntRange) {
+  expect_parse_error(
+      "graph g width 8\ninput a\nnode n = neg a @ 4000000000\noutput n\n", 3,
+      "step must be an integer in 1..2147483647");
+  expect_parse_error("graph g width 8\ninput a\nnode n = neg a @ 0\noutput n\n",
+                     3, "step must be an integer");
+}
+
+TEST(TextIoTest, RejectsGraphWithoutNodes) {
+  expect_parse_error("graph g width 4\ninput a\noutput a\n", 3, "no nodes");
 }
 
 TEST(TextIoTest, RejectsUnknownOutput) {

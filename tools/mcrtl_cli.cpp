@@ -472,7 +472,15 @@ power::ExperimentRecord measure(const Loaded& l,
   std::unique_ptr<sim::PowerProbe> probe;
   if (want_power_profile) {
     attribution = std::make_unique<power::Attribution>(*syn.design, tech);
-    probe = std::make_unique<sim::PowerProbe>(attribution->energy_model());
+    // The per-domain waveform is kept only for its two consumers: the
+    // --power-trace-out CSV and the trace's counter tracks.
+    const unsigned record =
+        (obs::enabled() ? sim::PowerProbe::kStepHistogram : 0) |
+        (!o.power_trace_file.empty() || obs::enabled()
+             ? sim::PowerProbe::kWaveform
+             : 0);
+    probe = std::make_unique<sim::PowerProbe>(attribution->energy_model(),
+                                              record);
     simulator.set_power_probe(probe.get());
   }
   const auto res = simulator.run(stream, l.graph->inputs(), l.graph->outputs());
@@ -500,8 +508,10 @@ power::ExperimentRecord measure(const Loaded& l,
   rec.stats = syn.design->stats;
 
   if (want_power_profile) {
-    power::publish_power_tracks(*probe);  // no-op unless tracing is on
-    obs::observe_many("power.step_fj", probe->step_energies());
+    if (obs::enabled()) {
+      power::publish_power_tracks(*probe);
+      obs::merge_histogram("power.step_fj", probe->step_histogram());
+    }
     const auto arep = attribution->attribute(res.activity);
     if (!arep.rows.empty()) {
       rec.hotspot = arep.rows.front().component;
