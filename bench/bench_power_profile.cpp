@@ -1,13 +1,15 @@
 // Per-step power profile: the multi-clock scheme's mechanism made visible.
 // In a conventional single-clock datapath the whole circuit switches every
 // master cycle; under n non-overlapping clocks only one partition switches
-// per cycle, so the per-cycle switching-energy profile flattens and its
-// average drops. Prints the profile folded onto one computation period for
-// the HAL benchmark under each style.
+// per cycle, so the per-cycle energy profile flattens and its average
+// drops. Prints the profile folded onto one computation period for the HAL
+// benchmark under each style. Every step's energy is the whole of the
+// design's P: net switching, storage clock pins, gating cells and the
+// phase clock trees.
 #include <cstdio>
 
 #include "core/synthesizer.hpp"
-#include "power/trace.hpp"
+#include "power/attribution.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "suite/benchmarks.hpp"
@@ -22,23 +24,23 @@ void profile(const suite::Benchmark& b, core::DesignStyle style, int clocks) {
   opts.num_clocks = clocks;
   const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
 
-  const auto tech = power::TechLibrary::cmos08();
-  power::PowerTrace trace(*syn.design, tech);
+  const power::Attribution attribution(*syn.design,
+                                       power::TechLibrary::cmos08());
+  sim::PowerProbe probe(attribution.energy_model(), sim::PowerProbe::kWaveform);
   sim::Simulator simulator(*syn.design);
-  simulator.set_observer(
-      [&](std::uint64_t step, const std::vector<std::uint64_t>& nets) {
-        trace.record(step, nets);
-      });
+  simulator.set_power_probe(&probe);
   Rng rng(61);
   const auto stream =
       sim::uniform_stream(rng, b.graph->inputs().size(), 400, b.graph->width());
   simulator.run(stream, b.graph->inputs(), b.graph->outputs());
 
-  std::printf("%s (datapath+control switching only):\n",
-              syn.design->style_name.c_str());
-  std::printf("%s", trace.render_period_profile().c_str());
-  std::printf("mean %.0f fJ/cycle, peak %.0f fJ, crest %.2f\n\n",
-              trace.mean_fj(), trace.peak_fj(), trace.crest());
+  const double mean = probe.total_fj() / static_cast<double>(probe.steps());
+  std::printf("%s:\n", syn.design->style_name.c_str());
+  std::printf("%s",
+              power::render_period_profile(probe, syn.design->clocks).c_str());
+  std::printf("mean %.0f fJ/cycle, peak %.0f fJ, crest %.2f\n\n", mean,
+              sim::EnergyModel::to_fj(static_cast<double>(probe.peak_units())),
+              probe.crest());
 }
 
 }  // namespace

@@ -273,11 +273,11 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     ExplorationPoint p;
     p.options = opts;
     p.label = label;
-    // Hierarchical attribution rides along with every evaluation: the probe
-    // keeps the per-step peak and the run total (the crest factor) and, when
-    // tracing, the per-step energy distribution; attribute() names the
-    // hotspot. No per-step waveform is stored. The probe only observes —
-    // outputs and Activity are bit-identical with it attached
+    // One energy model per point: power() folds it into the mW breakdown,
+    // attribute() names the hotspot, and the probe keeps the per-step peak
+    // and the run total (the crest factor) and, when tracing, the per-step
+    // energy distribution. No per-step waveform is stored. The probe only
+    // observes — outputs and Activity are bit-identical with it attached
     // (tests/test_attribution.cpp).
     const bool traced = obs::enabled();
     const auto attribution = [&] {
@@ -289,8 +289,7 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     simulator.set_power_probe(&probe);
     auto estimate = [&](const sim::Activity& activity) {
       obs::Span span("power.estimate");
-      return power::estimate_power(*syn.design, activity, tech,
-                                   cfg.power_params);
+      return attribution.power(activity, cfg.power_params);
     };
     auto finish_attribution = [&](const sim::Activity& activity) {
       obs::Span span("power.attribution");

@@ -1,13 +1,10 @@
 #include "power/estimator.hpp"
 
-#include <map>
-
-#include "util/error.hpp"
+#include "power/attribution.hpp"
 #include "util/strings.hpp"
 
 namespace mcrtl::power {
 
-using rtl::CompId;
 using rtl::CompKind;
 
 std::string PowerBreakdown::to_string() const {
@@ -28,94 +25,7 @@ PowerBreakdown estimate_power(const rtl::Design& design,
                               const sim::Activity& activity,
                               const TechLibrary& tech,
                               const PowerParams& params) {
-  MCRTL_CHECK_MSG(activity.steps > 0, "no activity: simulate before estimating");
-  const rtl::Netlist& nl = design.netlist;
-  const double v2 = params.vdd * params.vdd;
-  // fF-per-cycle -> mW at f_master: 1e-15 F * V^2 * f * 1e3 mW/W.
-  const double scale = v2 * params.f_master * 1e-15 * 1e3 /
-                       static_cast<double>(activity.steps);
-
-  PowerBreakdown pb;
-  // --- net switching, attributed by driver kind ----------------------------
-  for (const auto& net : nl.nets()) {
-    const auto toggles = activity.net_toggles[net.id.index()];
-    if (toggles == 0) continue;
-    const double cap = tech.net_cap(nl, net);
-    const double mw = cap * static_cast<double>(toggles) * scale;
-    switch (nl.comp(net.driver).kind) {
-      case CompKind::Mux:
-      case CompKind::Bus:
-      case CompKind::Alu:
-      case CompKind::IsoGate:
-      case CompKind::Constant:
-        pb.combinational += mw;
-        break;
-      case CompKind::Register:
-      case CompKind::Latch:
-        pb.storage += mw;
-        break;
-      case CompKind::ControlSource:
-        pb.control += mw;
-        break;
-      case CompKind::InputPort:
-        pb.io += mw;
-        break;
-      default:
-        pb.combinational += mw;
-        break;
-    }
-  }
-  // --- storage clock pins + gating cells -----------------------------------
-  for (const auto& c : nl.components()) {
-    if (!rtl::is_storage(c.kind)) continue;
-    const auto events = activity.storage_clock_events[c.id.index()];
-    if (events > 0) {
-      const double pin = tech.storage_clock_pin_cap(c.kind) * c.width;
-      pb.storage += pin * static_cast<double>(events) * scale;
-      if (c.clock_gated) {
-        pb.clock_tree +=
-            tech.clock_gate_event_cap() * static_cast<double>(events) * scale;
-      }
-    }
-  }
-  // --- phase distribution trees --------------------------------------------
-  std::map<int, int> sinks;  // phase -> storage units
-  for (const auto& c : nl.components()) {
-    if (rtl::is_storage(c.kind)) ++sinks[c.clock_phase];
-  }
-  for (int p = 1; p <= design.clocks.num_phases(); ++p) {
-    const auto pulses = activity.phase_pulses[static_cast<std::size_t>(p)];
-    if (pulses == 0) continue;
-    pb.clock_tree +=
-        tech.clock_tree_cap(sinks[p]) * static_cast<double>(pulses) * scale;
-  }
-
-  // --- controller FSM (optional) --------------------------------------------
-  if (params.include_controller_fsm) {
-    const int period = design.control.period();
-    // One-hot state register: `period` single-bit DFFs clocked at f (a
-    // controller is never gated), exactly two state bits toggle per cycle,
-    // and each control bit has a small decode-plane load driven from the
-    // state wires.
-    const double clock_pins =
-        static_cast<double>(period) *
-        tech.storage_clock_pin_cap(rtl::CompKind::Register);
-    const double state_toggles = 2.0 * 60.0;  // Q + decode fan-in per bit
-    const double decode = 15.0 * design.control.total_bits();
-    const double per_cycle_fF = clock_pins + state_toggles + decode;
-    // Every master cycle switches this capacitance once.
-    pb.control += per_cycle_fF * static_cast<double>(activity.steps) * scale;
-  }
-
-  // --- static dissipation ----------------------------------------------------
-  if (params.leakage_mw_per_mlambda2 > 0.0) {
-    const AreaBreakdown area = estimate_area(design, tech);
-    pb.leakage = params.leakage_mw_per_mlambda2 * area.total / 1e6;
-  }
-
-  pb.total = pb.combinational + pb.storage + pb.clock_tree + pb.control +
-             pb.io + pb.leakage;
-  return pb;
+  return Attribution(design, tech, params.vdd).power(activity, params);
 }
 
 AreaBreakdown estimate_area(const rtl::Design& design, const TechLibrary& tech) {

@@ -1,12 +1,14 @@
 // Power and area estimation.
 //
 // Power follows the paper's §5.1 methodology: for every node (net) the
-// simulator supplies a transition count; the estimator weights it with the
-// node's load capacitance from the technology model and applies
-// P = C · V² · f_node with V = 4.65 V. Clock pins, clock trees and gating
-// cells are accounted per delivered edge/pulse. The result is broken down
-// by category so the mechanism of each saving (gated storage, f/n clock
-// trees, quiet combinational logic) is visible.
+// simulator supplies a transition count, which is weighted with the node's
+// load capacitance from the technology model under P = C · V² · f_node with
+// V = 4.65 V. Clock pins, clock trees and gating cells are accounted per
+// delivered edge/pulse. The result is broken down by category so the
+// mechanism of each saving (gated storage, f/n clock trees, quiet
+// combinational logic) is visible. The capacitance table and the fold live
+// in power::Attribution (power/attribution.hpp); estimate_power() is that
+// fold on a model built for the one call.
 #pragma once
 
 #include <string>
@@ -50,7 +52,9 @@ struct PowerBreakdown {
   std::string to_string() const;
 };
 
-/// Estimate average power of `design` given the measured `activity`.
+/// Estimate average power of `design` given the measured `activity`:
+/// Attribution(design, tech, params.vdd).power(activity, params). Throws
+/// when the design's worst-case step overflows the energy model's range.
 PowerBreakdown estimate_power(const rtl::Design& design,
                               const sim::Activity& activity,
                               const TechLibrary& tech,

@@ -1,12 +1,24 @@
 // Unit tests for the technology model and the power/area estimators.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/explorer.hpp"
 #include "core/synthesizer.hpp"
+#include "dfg/random_graph.hpp"
+#include "dfg/schedule.hpp"
 #include "util/error.hpp"
+#include "power/attribution.hpp"
 #include "power/estimator.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "suite/benchmarks.hpp"
+#include "util/strings.hpp"
 
 namespace mcrtl::power {
 namespace {
@@ -410,6 +422,257 @@ TEST(TechLibraryPropertyTest, ZeroAndOneBitEdgeCases) {
   EXPECT_GT(t.mux_area(1, 1), 0.0);
   EXPECT_GT(t.io_port_area(1), 0.0);
   EXPECT_GT(t.clock_tree_cap(1), t.clock_tree_cap(0));
+}
+
+// --- the fold against a frozen copy of the walk it replaced ----------------
+
+// estimate_power() as it stood before it became a fold over Attribution's
+// capacitance table: its own walk over nets, storage and clock trees. Kept
+// verbatim so the fold can be pinned to it bit for bit.
+PowerBreakdown reference_estimate_power(const rtl::Design& design,
+                                        const sim::Activity& activity,
+                                        const TechLibrary& tech,
+                                        const PowerParams& params) {
+  using rtl::CompKind;
+  MCRTL_CHECK_MSG(activity.steps > 0, "no activity: simulate before estimating");
+  const rtl::Netlist& nl = design.netlist;
+  const double v2 = params.vdd * params.vdd;
+  const double scale = v2 * params.f_master * 1e-15 * 1e3 /
+                       static_cast<double>(activity.steps);
+
+  PowerBreakdown pb;
+  for (const auto& net : nl.nets()) {
+    const auto toggles = activity.net_toggles[net.id.index()];
+    if (toggles == 0) continue;
+    const double cap = tech.net_cap(nl, net);
+    const double mw = cap * static_cast<double>(toggles) * scale;
+    switch (nl.comp(net.driver).kind) {
+      case CompKind::Mux:
+      case CompKind::Bus:
+      case CompKind::Alu:
+      case CompKind::IsoGate:
+      case CompKind::Constant:
+        pb.combinational += mw;
+        break;
+      case CompKind::Register:
+      case CompKind::Latch:
+        pb.storage += mw;
+        break;
+      case CompKind::ControlSource:
+        pb.control += mw;
+        break;
+      case CompKind::InputPort:
+        pb.io += mw;
+        break;
+      default:
+        pb.combinational += mw;
+        break;
+    }
+  }
+  for (const auto& c : nl.components()) {
+    if (!rtl::is_storage(c.kind)) continue;
+    const auto events = activity.storage_clock_events[c.id.index()];
+    if (events > 0) {
+      const double pin = tech.storage_clock_pin_cap(c.kind) * c.width;
+      pb.storage += pin * static_cast<double>(events) * scale;
+      if (c.clock_gated) {
+        pb.clock_tree +=
+            tech.clock_gate_event_cap() * static_cast<double>(events) * scale;
+      }
+    }
+  }
+  std::map<int, int> sinks;
+  for (const auto& c : nl.components()) {
+    if (rtl::is_storage(c.kind)) ++sinks[c.clock_phase];
+  }
+  for (int p = 1; p <= design.clocks.num_phases(); ++p) {
+    const auto pulses = activity.phase_pulses[static_cast<std::size_t>(p)];
+    if (pulses == 0) continue;
+    pb.clock_tree +=
+        tech.clock_tree_cap(sinks[p]) * static_cast<double>(pulses) * scale;
+  }
+  if (params.include_controller_fsm) {
+    const int period = design.control.period();
+    const double clock_pins =
+        static_cast<double>(period) *
+        tech.storage_clock_pin_cap(rtl::CompKind::Register);
+    const double state_toggles = 2.0 * 60.0;
+    const double decode = 15.0 * design.control.total_bits();
+    const double per_cycle_fF = clock_pins + state_toggles + decode;
+    pb.control += per_cycle_fF * static_cast<double>(activity.steps) * scale;
+  }
+  if (params.leakage_mw_per_mlambda2 > 0.0) {
+    const AreaBreakdown area = estimate_area(design, tech);
+    pb.leakage = params.leakage_mw_per_mlambda2 * area.total / 1e6;
+  }
+  pb.total = pb.combinational + pb.storage + pb.clock_tree + pb.control +
+             pb.io + pb.leakage;
+  return pb;
+}
+
+constexpr std::pair<const char*, double PowerBreakdown::*> kFields[] = {
+    {"combinational", &PowerBreakdown::combinational},
+    {"storage", &PowerBreakdown::storage},
+    {"clock_tree", &PowerBreakdown::clock_tree},
+    {"control", &PowerBreakdown::control},
+    {"io", &PowerBreakdown::io},
+    {"leakage", &PowerBreakdown::leakage},
+    {"total", &PowerBreakdown::total}};
+
+void expect_same_bits(const PowerBreakdown& a, const PowerBreakdown& b,
+                      const std::string& where) {
+  for (const auto& [name, field] : kFields) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.*field),
+              std::bit_cast<std::uint64_t>(b.*field))
+        << where << " " << name << ": " << a.*field << " vs " << b.*field;
+  }
+}
+
+// Every operating point the fold must reproduce: controller FSM off/on,
+// leakage off/on, two (vdd, f_master) pairs.
+std::vector<PowerParams> param_grid() {
+  std::vector<PowerParams> grid;
+  for (const auto& [vdd, f] : {std::pair{4.65, 40.0e6}, std::pair{3.3, 25.0e6}}) {
+    for (const bool fsm : {false, true}) {
+      for (const double leak : {0.0, 0.05}) {
+        PowerParams p;
+        p.vdd = vdd;
+        p.f_master = f;
+        p.include_controller_fsm = fsm;
+        p.leakage_mw_per_mlambda2 = leak;
+        grid.push_back(p);
+      }
+    }
+  }
+  return grid;
+}
+
+// Simulates `design` on a short stream and checks both estimate_power() and
+// a shared Attribution's power() against the reference on the whole grid.
+void check_fold(const rtl::Design& design, const dfg::Graph& graph,
+                std::uint64_t seed, const std::string& where) {
+  Rng rng(seed);
+  const auto stream = sim::uniform_stream(rng, graph.inputs().size(), 40,
+                                          graph.width());
+  sim::Simulator s(design);
+  const auto res = s.run(stream, graph.inputs(), graph.outputs());
+  const TechLibrary tech = TechLibrary::cmos08();
+  const Attribution model(design, tech);
+  for (const auto& p : param_grid()) {
+    const std::string at =
+        where + str_format(" vdd=%g f=%g fsm=%d leak=%g", p.vdd, p.f_master,
+                           p.include_controller_fsm,
+                           p.leakage_mw_per_mlambda2);
+    const auto ref = reference_estimate_power(design, res.activity, tech, p);
+    expect_same_bits(estimate_power(design, res.activity, tech, p), ref, at);
+    expect_same_bits(model.power(res.activity, p), ref, at);
+  }
+}
+
+// (style, clocks) pairs of the grid: conventional, gated, multi-clock n=1..4.
+constexpr std::pair<DesignStyle, int> kStyles[] = {
+    {DesignStyle::ConventionalNonGated, 1}, {DesignStyle::ConventionalGated, 1},
+    {DesignStyle::MultiClock, 1},           {DesignStyle::MultiClock, 2},
+    {DesignStyle::MultiClock, 3},           {DesignStyle::MultiClock, 4}};
+
+TEST(PowerFoldTest, BitIdenticalToReferenceAcrossSuite) {
+  for (const auto& name : suite::all_names()) {
+    const auto b = suite::by_name(name, 4);
+    for (const auto& [style, clocks] : kStyles) {
+      for (const bool latches : {true, false}) {
+        for (const bool iso : {false, true}) {
+          core::SynthesisOptions opts;
+          opts.style = style;
+          opts.num_clocks = clocks;
+          opts.use_latches = latches;
+          opts.operand_isolation = iso;
+          const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+          check_fold(*syn.design, *b.graph, 1234,
+                     str_format("%s %s%s%s", name.c_str(),
+                                syn.design->style_name.c_str(),
+                                latches ? "" : " dff", iso ? " iso" : ""));
+        }
+      }
+    }
+  }
+}
+
+TEST(PowerFoldTest, BitIdenticalToReferenceOnRandomGraphs) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    Rng grng(seed);
+    dfg::RandomGraphConfig gcfg;
+    gcfg.num_nodes = 6 + static_cast<unsigned>(seed % 19);
+    gcfg.width = seed % 3 == 0 ? 16 : 8;
+    const dfg::Graph g = dfg::random_graph(grng, gcfg);
+    dfg::ResourceLimits limits;
+    limits.default_limit = 2;
+    const dfg::Schedule sched = dfg::schedule_list(g, limits);
+    const auto& [style, clocks] = kStyles[seed % std::size(kStyles)];
+    core::SynthesisOptions opts;
+    opts.style = style;
+    opts.num_clocks = clocks;
+    opts.use_latches = seed % 2 == 0;
+    opts.operand_isolation = seed % 4 < 2;
+    const auto syn = core::synthesize(g, sched, opts);
+    check_fold(*syn.design, g, seed, str_format("random seed %llu",
+                                               static_cast<unsigned long long>(
+                                                   seed)));
+  }
+}
+
+// explore() folds each stream's Activity with power(); perfbench's replica
+// calls estimate_power() on the same Activity. Both must give the same
+// point, for the scalar path and for a Monte-Carlo bundle (per-stream
+// sample means).
+TEST(PowerFoldTest, ExplorePowerEqualsEstimatePower) {
+  const TechLibrary tech = TechLibrary::cmos08();
+  for (const std::size_t streams : {std::size_t{1}, std::size_t{8}}) {
+    const auto b = suite::by_name("biquad", 4);
+    core::ExplorerConfig cfg;
+    cfg.max_clocks = 3;
+    cfg.computations = 120;
+    cfg.streams = streams;
+    cfg.jobs = 1;
+    cfg.power_params.include_controller_fsm = true;
+    const auto explored = core::explore(*b.graph, *b.schedule, cfg);
+
+    std::vector<sim::InputStream> bundle;
+    if (streams == 1) {
+      Rng rng(cfg.seed);
+      bundle.push_back(sim::uniform_stream(rng, b.graph->inputs().size(),
+                                           cfg.computations, b.graph->width()));
+    } else {
+      bundle = sim::uniform_streams(cfg.seed, streams, b.graph->inputs().size(),
+                                    cfg.computations, b.graph->width());
+    }
+    ASSERT_FALSE(explored.points.empty());
+    for (const auto& p : explored.points) {
+      const auto syn = core::synthesize(*b.graph, *b.schedule, p.options);
+      std::vector<PowerBreakdown> brs;
+      if (streams == 1) {
+        sim::Simulator s(*syn.design);
+        const auto res =
+            s.run(bundle[0], b.graph->inputs(), b.graph->outputs());
+        brs.push_back(
+            estimate_power(*syn.design, res.activity, tech, cfg.power_params));
+      } else {
+        sim::Simulator s(*syn.design, sim::Simulator::Mode::BitSliced);
+        for (const auto& r :
+             s.run_sliced(bundle, b.graph->inputs(), b.graph->outputs())) {
+          brs.push_back(
+              estimate_power(*syn.design, r.activity, tech, cfg.power_params));
+        }
+      }
+      PowerBreakdown want;
+      for (const auto& [name, field] : kFields) {
+        std::vector<double> v;
+        for (const auto& br : brs) v.push_back(br.*field);
+        want.*field = sim::sample_stats(std::move(v)).mean;
+      }
+      expect_same_bits(p.power, want,
+                       p.label + " streams=" + std::to_string(streams));
+    }
+  }
 }
 
 }  // namespace

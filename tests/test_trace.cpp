@@ -1,10 +1,12 @@
-// Unit tests for the per-step power trace.
+// Unit tests for the per-step power profile: a PowerProbe that keeps its
+// waveform, and its fold onto one period (power::render_period_profile).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "core/synthesizer.hpp"
-#include "power/trace.hpp"
+#include "power/attribution.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "suite/benchmarks.hpp"
@@ -12,105 +14,104 @@
 namespace mcrtl::power {
 namespace {
 
-PowerTrace run_trace(const suite::Benchmark& b, core::DesignStyle style,
-                     int clocks, std::size_t computations = 200) {
+// A design simulated with a waveform-keeping probe attached. Not copyable:
+// the probe points into the attribution's model.
+struct Profile {
+  Profile(std::shared_ptr<const rtl::Design> d, const dfg::Graph& graph,
+          const sim::InputStream& stream)
+      : design(std::move(d)),
+        attribution(*design, TechLibrary::cmos08()),
+        probe(attribution.energy_model(), sim::PowerProbe::kWaveform) {
+    sim::Simulator s(*design);
+    s.set_power_probe(&probe);
+    s.run(stream, graph.inputs(), graph.outputs());
+  }
+  Profile(const Profile&) = delete;
+
+  // Whole-design energy of step `s`, fJ.
+  double step_total_fj(std::size_t s) const {
+    double e = 0.0;
+    for (int d = 0; d <= probe.num_domains(); ++d) e += probe.step_fj(s, d);
+    return e;
+  }
+  double mean_fj() const {
+    return probe.total_fj() / static_cast<double>(probe.steps());
+  }
+
+  std::shared_ptr<const rtl::Design> design;
+  Attribution attribution;
+  sim::PowerProbe probe;
+};
+
+Profile run_profile(const suite::Benchmark& b, core::DesignStyle style,
+                    int clocks, std::size_t computations = 200) {
   core::SynthesisOptions opts;
   opts.style = style;
   opts.num_clocks = clocks;
-  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
-  const auto tech = TechLibrary::cmos08();
-  PowerTrace trace(*syn.design, tech);
-  sim::Simulator s(*syn.design);
-  s.set_observer([&](std::uint64_t step, const std::vector<std::uint64_t>& nets) {
-    trace.record(step, nets);
-  });
+  auto syn = core::synthesize(*b.graph, *b.schedule, opts);
   Rng rng(7);
   const auto stream = sim::uniform_stream(rng, b.graph->inputs().size(),
                                           computations, b.graph->width());
-  s.run(stream, b.graph->inputs(), b.graph->outputs());
-  return trace;
+  return Profile(std::move(syn.design), *b.graph, stream);
 }
 
 TEST(PowerTraceTest, OneEntryPerStep) {
   const auto b = suite::motivating(8);
-  const auto trace = run_trace(b, core::DesignStyle::ConventionalGated, 1, 10);
+  const auto prof = run_profile(b, core::DesignStyle::ConventionalGated, 1, 10);
   // period = T+1 = 6 steps per computation.
-  EXPECT_EQ(trace.energy_fj().size(), 60u);
+  EXPECT_EQ(prof.probe.steps(), 60u);
+  double sum = 0.0;
+  for (std::size_t s = 0; s < prof.probe.steps(); ++s) {
+    sum += prof.step_total_fj(s);
+  }
+  EXPECT_NEAR(sum, prof.probe.total_fj(), 1e-9 * prof.probe.total_fj());
 }
 
 TEST(PowerTraceTest, EnergyNonNegativeAndNonTrivial) {
   const auto b = suite::hal(8);
-  const auto trace = run_trace(b, core::DesignStyle::ConventionalGated, 1);
-  for (double e : trace.energy_fj()) EXPECT_GE(e, 0.0);
-  EXPECT_GT(trace.mean_fj(), 0.0);
-  EXPECT_GE(trace.peak_fj(), trace.mean_fj());
-  EXPECT_GE(trace.crest(), 1.0);
+  const auto prof = run_profile(b, core::DesignStyle::ConventionalGated, 1);
+  double peak = 0.0;
+  for (std::size_t s = 0; s < prof.probe.steps(); ++s) {
+    for (int d = 0; d <= prof.probe.num_domains(); ++d) {
+      EXPECT_GE(prof.probe.step_fj(s, d), 0.0);
+    }
+    peak = std::max(peak, prof.step_total_fj(s));
+  }
+  EXPECT_GT(prof.mean_fj(), 0.0);
+  EXPECT_GE(peak, prof.mean_fj());
+  EXPECT_GE(prof.probe.crest(), 1.0);
 }
 
 TEST(PowerTraceTest, MultiClockReducesMeanSwitchingEnergy) {
   const auto b = suite::hal(4);
-  const auto conv = run_trace(b, core::DesignStyle::ConventionalGated, 1);
-  const auto mc3 = run_trace(b, core::DesignStyle::MultiClock, 3);
+  const auto conv = run_profile(b, core::DesignStyle::ConventionalGated, 1);
+  const auto mc3 = run_profile(b, core::DesignStyle::MultiClock, 3);
   EXPECT_LT(mc3.mean_fj(), conv.mean_fj());
 }
 
 TEST(PowerTraceTest, ProfileRendersOneRowPerStep) {
   const auto b = suite::facet(4);
-  const auto trace = run_trace(b, core::DesignStyle::MultiClock, 2, 50);
-  const std::string prof = trace.render_period_profile();
-  EXPECT_NE(prof.find("step  1 (CLK_1)"), std::string::npos);
-  EXPECT_NE(prof.find("fJ"), std::string::npos);
+  const auto prof = run_profile(b, core::DesignStyle::MultiClock, 2, 50);
+  const std::string text =
+      render_period_profile(prof.probe, prof.design->clocks);
+  EXPECT_NE(text.find("step  1 (CLK_1)"), std::string::npos);
+  EXPECT_NE(text.find("fJ"), std::string::npos);
   // row count == period
-  EXPECT_EQ(std::count(prof.begin(), prof.end(), '\n'),
-            static_cast<long>(6));
-}
-
-// Regression: entry 0 of energy_fj() is a synthetic priming sample (the
-// simulator's initial settle before any stimulus), always 0 fJ. It must be
-// kept in the vector (one-entry-per-step indexing) but excluded from the
-// statistics — including it deflated mean_fj and inflated the crest factor
-// by steps/(steps-1).
-TEST(PowerTraceTest, PrimingSampleExcludedFromStats) {
-  const auto b = suite::motivating(8);
-  const auto trace = run_trace(b, core::DesignStyle::ConventionalGated, 1, 10);
-  const auto& e = trace.energy_fj();
-  ASSERT_FALSE(e.empty());
-  EXPECT_EQ(e.front(), 0.0);  // the priming entry itself
-
-  double sum = 0.0, peak = 0.0;
-  for (std::size_t i = 1; i < e.size(); ++i) {
-    sum += e[i];
-    peak = std::max(peak, e[i]);
-  }
-  const double expected_mean = sum / static_cast<double>(e.size() - 1);
-  EXPECT_DOUBLE_EQ(trace.mean_fj(), expected_mean);
-  EXPECT_DOUBLE_EQ(trace.peak_fj(), peak);
-  EXPECT_DOUBLE_EQ(trace.crest(), peak / expected_mean);
-  // Without the exclusion the mean would be sum/size — strictly smaller.
-  EXPECT_GT(trace.mean_fj(), sum / static_cast<double>(e.size()));
+  EXPECT_EQ(prof.design->clocks.period(), 6);
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), static_cast<long>(6));
 }
 
 TEST(PowerTraceTest, ConstantInputsGiveQuieterTrace) {
   const auto b = suite::motivating(8);
   core::SynthesisOptions opts;
   opts.style = core::DesignStyle::ConventionalGated;
-  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
-  const auto tech = TechLibrary::cmos08();
-
-  auto run_with = [&](const sim::InputStream& stream) {
-    PowerTrace trace(*syn.design, tech);
-    sim::Simulator s(*syn.design);
-    s.set_observer(
-        [&](std::uint64_t step, const std::vector<std::uint64_t>& nets) {
-          trace.record(step, nets);
-        });
-    s.run(stream, b.graph->inputs(), b.graph->outputs());
-    return trace.mean_fj();
-  };
+  const std::shared_ptr<const rtl::Design> design =
+      core::synthesize(*b.graph, *b.schedule, opts).design;
   Rng r1(9), r2(9);
   const auto uni = sim::uniform_stream(r1, b.graph->inputs().size(), 100, 8);
   const auto con = sim::constant_stream(r2, b.graph->inputs().size(), 100, 8);
-  EXPECT_LT(run_with(con), run_with(uni));
+  EXPECT_LT(Profile(design, *b.graph, con).mean_fj(),
+            Profile(design, *b.graph, uni).mean_fj());
 }
 
 }  // namespace

@@ -111,11 +111,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/explorer.hpp"
@@ -177,8 +178,8 @@ struct CliOptions {
   std::string metrics_file;
   bool progress = false;
   // search-specific
-  std::string widths;        // comma list; empty = just `width`
-  std::string limits = "0";  // comma list; 0 = reference schedule
+  std::vector<int> widths;       // empty = just `width`
+  std::vector<int> limits = {0};  // 0 = reference schedule
   int budget_rungs = 3;
   double promote_frac = 0.4;
   double optimism = 0.85;
@@ -222,159 +223,156 @@ int usage() {
   return 2;
 }
 
+/// `token` as a number of `out`'s type: the whole token, in range. Integers
+/// are base 10, and unsigned fields take no sign.
+template <typename T>
+bool parse_number(const std::string& token, T& out) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return parse_double(token, out);
+  } else if constexpr (std::is_signed_v<T>) {
+    long long v = 0;
+    if (!parse_int(token, v) || v < std::numeric_limits<T>::min() ||
+        v > std::numeric_limits<T>::max()) {
+      return false;
+    }
+    out = static_cast<T>(v);
+    return true;
+  } else {
+    unsigned long long v = 0;
+    if (!parse_uint(token, v) || v > std::numeric_limits<T>::max()) {
+      return false;
+    }
+    out = static_cast<T>(v);
+    return true;
+  }
+}
+
+/// Parses argv into `o`. False on a usage error; a bad number names its
+/// flag on stderr.
 bool parse_args(int argc, char** argv, CliOptions& o) {
   if (argc < 2) return false;
   o.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    // The flag's value, or false when it is missing.
+    std::string v;
+    auto value = [&] {
+      if (i + 1 >= argc) return false;
+      v = argv[++i];
+      return true;
     };
+    auto text = [&](std::string& out) {
+      if (!value()) return false;
+      out = v;
+      return true;
+    };
+    auto bad = [&] {
+      std::fprintf(stderr, "error: bad value '%s' for %s\n", v.c_str(),
+                   a.c_str());
+      return false;
+    };
+    auto number = [&](auto& out) {
+      if (!value()) return false;
+      return parse_number(v, out) || bad();
+    };
+    // A comma list of integers; empty items are skipped.
+    auto int_list = [&](std::vector<int>& out) {
+      if (!value()) return false;
+      out.clear();
+      std::istringstream is(v);
+      std::string tok;
+      while (std::getline(is, tok, ',')) {
+        if (tok.empty()) continue;
+        int x = 0;
+        if (!parse_number(tok, x)) return bad();
+        out.push_back(x);
+      }
+      return true;
+    };
+    bool ok = true;
     if (a == "--dfg") {
-      const char* v = next();
-      if (!v) return false;
-      o.dfg_file = v;
+      ok = text(o.dfg_file);
     } else if (a == "--clocks") {
-      const char* v = next();
-      if (!v) return false;
-      o.clocks = std::atoi(v);
+      ok = number(o.clocks);
     } else if (a == "--width") {
-      const char* v = next();
-      if (!v) return false;
-      o.width = static_cast<unsigned>(std::atoi(v));
+      ok = number(o.width);
     } else if (a == "--style") {
-      const char* v = next();
-      if (!v) return false;
-      o.style = v;
+      ok = text(o.style);
     } else if (a == "--method") {
-      const char* v = next();
-      if (!v) return false;
-      o.method = v;
+      ok = text(o.method);
     } else if (a == "--dff") {
       o.dff = true;
     } else if (a == "--isolation") {
       o.isolation = true;
     } else if (a == "--computations") {
-      const char* v = next();
-      if (!v) return false;
-      o.computations = static_cast<std::size_t>(std::atoll(v));
+      ok = number(o.computations);
     } else if (a == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      o.seed = static_cast<std::uint64_t>(std::atoll(v));
+      ok = number(o.seed);
     } else if (a == "--streams") {
-      const char* v = next();
-      if (!v) return false;
-      o.streams = static_cast<std::size_t>(std::atoll(v));
+      ok = number(o.streams);
     } else if (a == "--csv") {
-      const char* v = next();
-      if (!v) return false;
-      o.csv_file = v;
+      ok = text(o.csv_file);
     } else if (a == "--json") {
-      const char* v = next();
-      if (!v) return false;
-      o.json_file = v;
+      ok = text(o.json_file);
     } else if (a == "--checkpoint") {
-      const char* v = next();
-      if (!v) return false;
-      o.checkpoint_file = v;
+      ok = text(o.checkpoint_file);
     } else if (a == "--point-timeout") {
-      const char* v = next();
-      if (!v) return false;
-      o.point_timeout_s = std::atof(v);
+      ok = number(o.point_timeout_s);
     } else if (a == "--retries") {
-      const char* v = next();
-      if (!v) return false;
-      o.retries = std::atoi(v);
+      ok = number(o.retries);
     } else if (a == "--backoff") {
-      const char* v = next();
-      if (!v) return false;
-      o.backoff_ms = std::atof(v);
+      ok = number(o.backoff_ms);
     } else if (a == "--no-quarantine") {
       o.no_quarantine = true;
     } else if (a == "--fault-inject") {
-      const char* v = next();
-      if (!v) return false;
-      o.fault_specs.emplace_back(v);
+      ok = value();
+      if (ok) o.fault_specs.push_back(v);
     } else if (a == "--jobs") {
-      const char* v = next();
-      if (!v) return false;
-      o.jobs = std::atoi(v);
+      ok = number(o.jobs);
     } else if (a == "--vcd") {
-      const char* v = next();
-      if (!v) return false;
-      o.vcd_file = v;
+      ok = text(o.vcd_file);
     } else if (a == "--power-trace-out") {
-      const char* v = next();
-      if (!v) return false;
-      o.power_trace_file = v;
+      ok = text(o.power_trace_file);
     } else if (a == "--power-flame") {
-      const char* v = next();
-      if (!v) return false;
-      o.power_flame_file = v;
+      ok = text(o.power_flame_file);
     } else if (a == "--power-top") {
-      const char* v = next();
-      if (!v) return false;
-      o.power_top = std::atoi(v);
+      ok = number(o.power_top);
     } else if (a == "--trace-out") {
-      const char* v = next();
-      if (!v) return false;
-      o.trace_file = v;
+      ok = text(o.trace_file);
     } else if (a == "--metrics-out") {
-      const char* v = next();
-      if (!v) return false;
-      o.metrics_file = v;
+      ok = text(o.metrics_file);
     } else if (a == "--progress") {
       o.progress = true;
     } else if (a == "--widths") {
-      const char* v = next();
-      if (!v) return false;
-      o.widths = v;
+      ok = int_list(o.widths);
     } else if (a == "--limits") {
-      const char* v = next();
-      if (!v) return false;
-      o.limits = v;
+      ok = int_list(o.limits);
     } else if (a == "--budget-rungs") {
-      const char* v = next();
-      if (!v) return false;
-      o.budget_rungs = std::atoi(v);
+      ok = number(o.budget_rungs);
     } else if (a == "--promote-frac") {
-      const char* v = next();
-      if (!v) return false;
-      o.promote_frac = std::atof(v);
+      ok = number(o.promote_frac);
     } else if (a == "--optimism") {
-      const char* v = next();
-      if (!v) return false;
-      o.optimism = std::atof(v);
+      ok = number(o.optimism);
     } else if (a == "--min-survivors") {
-      const char* v = next();
-      if (!v) return false;
-      o.min_survivors = static_cast<std::size_t>(std::atoll(v));
+      ok = number(o.min_survivors);
     } else if (a == "--cache-db") {
-      const char* v = next();
-      if (!v) return false;
-      o.cache_db = v;
+      ok = text(o.cache_db);
     } else if (a == "--pareto-only") {
       o.pareto_only = true;
     } else if (a == "--shard") {
-      const char* v = next();
-      if (!v) return false;
-      o.shard = v;
+      ok = text(o.shard);
     } else if (a == "--journals") {
-      const char* v = next();
-      if (!v) return false;
-      o.journals = v;
+      ok = text(o.journals);
     } else if (a == "--socket") {
-      const char* v = next();
-      if (!v) return false;
-      o.socket = v;
+      ok = text(o.socket);
     } else if (a == "--shutdown") {
       o.shutdown = true;
     } else if (!a.empty() && a[0] != '-') {
       o.benchmark = a;
     } else {
-      return false;
+      ok = false;
     }
+    if (!ok) return false;
   }
   return true;
 }
@@ -443,9 +441,8 @@ power::ExperimentRecord measure(const Loaded& l,
   Rng rng(o.seed);
   const auto stream = sim::uniform_stream(rng, l.graph->inputs().size(),
                                           o.computations, l.graph->width());
-  const auto rep = sim::check_equivalence(*syn.design, *l.graph, stream);
-  if (!rep.equivalent) throw mcrtl::Error("equivalence failure: " + rep.detail);
-
+  // One simulation feeds the equivalence check (its sampled outputs) and
+  // the power estimate (its Activity).
   sim::Simulator simulator(*syn.design);
   // Waveform dump and per-partition activity telemetry are only wired on the
   // single-design path (synth); cmd_table calls measure() concurrently.
@@ -460,7 +457,8 @@ power::ExperimentRecord measure(const Loaded& l,
   const bool want_heatmap = print_structure && obs::enabled();
   if (want_heatmap) simulator.set_heatmap(&heatmap);
   const auto tech = power::TechLibrary::cmos08();
-  // Power attribution rides on the same run whenever anything will consume
+  const power::Attribution attribution(*syn.design, tech);
+  // The power profile rides on the same run whenever anything will consume
   // it: an explicit --power-* flag, or tracing (the per-domain waveform is
   // merged into the Chrome trace as counter tracks). Attaching the probe
   // never changes simulation results.
@@ -468,10 +466,8 @@ power::ExperimentRecord measure(const Loaded& l,
       print_structure && (!o.power_trace_file.empty() ||
                           !o.power_flame_file.empty() || o.power_top > 0 ||
                           obs::enabled());
-  std::unique_ptr<power::Attribution> attribution;
   std::unique_ptr<sim::PowerProbe> probe;
   if (want_power_profile) {
-    attribution = std::make_unique<power::Attribution>(*syn.design, tech);
     // The per-domain waveform is kept only for its two consumers: the
     // --power-trace-out CSV and the trace's counter tracks.
     const unsigned record =
@@ -479,11 +475,14 @@ power::ExperimentRecord measure(const Loaded& l,
         (!o.power_trace_file.empty() || obs::enabled()
              ? sim::PowerProbe::kWaveform
              : 0);
-    probe = std::make_unique<sim::PowerProbe>(attribution->energy_model(),
+    probe = std::make_unique<sim::PowerProbe>(attribution.energy_model(),
                                               record);
     simulator.set_power_probe(probe.get());
   }
   const auto res = simulator.run(stream, l.graph->inputs(), l.graph->outputs());
+  const auto rep = sim::check_outputs(*l.graph, stream, res.outputs,
+                                      syn.design->style_name);
+  if (!rep.equivalent) throw mcrtl::Error("equivalence failure: " + rep.detail);
   if (vcd) {
     std::ofstream(o.vcd_file) << vcd->render();
     std::printf("wrote %s\n", o.vcd_file.c_str());
@@ -503,7 +502,7 @@ power::ExperimentRecord measure(const Loaded& l,
   rec.benchmark = l.name;
   rec.width = l.graph->width();
   rec.computations = o.computations;
-  rec.power = power::estimate_power(*syn.design, res.activity, tech);
+  rec.power = attribution.power(res.activity, power::PowerParams{});
   rec.area = power::estimate_area(*syn.design, tech);
   rec.stats = syn.design->stats;
 
@@ -512,7 +511,7 @@ power::ExperimentRecord measure(const Loaded& l,
       power::publish_power_tracks(*probe);
       obs::merge_histogram("power.step_fj", probe->step_histogram());
     }
-    const auto arep = attribution->attribute(res.activity);
+    const auto arep = attribution.attribute(res.activity);
     if (!arep.rows.empty()) {
       rec.hotspot = arep.rows.front().component;
       rec.hotspot_share = arep.total_fj > 0.0
@@ -869,16 +868,6 @@ int cmd_query(const CliOptions& o) {
   return 0;
 }
 
-std::vector<int> parse_int_list(const std::string& s) {
-  std::vector<int> out;
-  std::istringstream is(s);
-  std::string tok;
-  while (std::getline(is, tok, ',')) {
-    if (!tok.empty()) out.push_back(std::atoi(tok.c_str()));
-  }
-  return out;
-}
-
 int cmd_search(const CliOptions& o) {
   // Behaviour grid: benchmarks (comma list) x widths x schedule resource
   // limits. Limit 0 keeps the benchmark's reference schedule; L > 0
@@ -894,8 +883,8 @@ int cmd_search(const CliOptions& o) {
   }
   std::vector<int> widths = o.widths.empty()
                                 ? std::vector<int>{static_cast<int>(o.width)}
-                                : parse_int_list(o.widths);
-  std::vector<int> limits = parse_int_list(o.limits);
+                                : o.widths;
+  std::vector<int> limits = o.limits;
   if (limits.empty()) limits.push_back(0);
 
   // The graphs/schedules must outlive search(); the space only points at
